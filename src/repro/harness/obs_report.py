@@ -9,8 +9,9 @@ A trace directory (written by ``repro.harness.main --trace-out`` or
 per process that emitted records plus a ``manifest.json``.  This tool
 merges the files and prints:
 
-* **per-stage timings** — every span name with count / total / mean /
-  max wall seconds (compiler passes, sims, prepare/emulate/profile,
+* **per-stage timings** — every span name with its inclusive time
+  (counted once, from the outermost span of that name), self time, and
+  count / mean / max (compiler passes, sims, prepare/emulate/profile,
   harness tasks),
 * **per-worker utilisation** — the same, grouped by the ``worker`` tag
   the harness stamps on pool workers and attempt processes,
@@ -21,10 +22,9 @@ merges the files and prints:
 * **simulator totals** — the ``sim.counters`` event counters summed
   per early-generation config,
 * **replay path coverage** — the ``sim.replay`` events grouped by
-  chosen path (array-kernel leader/follower, stats memo, scalar, or
-  ``inline:<reason>``), with divergence patches and kernel
-  verify/repair effort, so a sweep's kernel coverage is visible at a
-  glance.
+  chosen path (stats memo, scalar stream replay, or
+  ``inline:<reason>``), with divergence patches, so a sweep's
+  fast-path coverage is visible at a glance.
 
 ``--validate`` instead checks the manifest and every trace record
 against the schema and exits non-zero on any problem; CI runs this
@@ -53,6 +53,7 @@ STAGE_HEADERS = {
     "stage": "Stage",
     "count": "Count",
     "total_s": "Total s",
+    "self_s": "Self s",
     "mean_s": "Mean s",
     "max_s": "Max s",
 }
@@ -79,10 +80,6 @@ REPLAY_HEADERS = {
     "path": "Path",
     "runs": "Runs",
     "patches": "Patches",
-    "verify_rounds": "Verify rounds",
-    "fixed_point_rounds": "Fixed-pt rounds",
-    "batched_windows": "Batched",
-    "stepped": "Stepped",
 }
 
 
@@ -100,18 +97,59 @@ def read_trace(trace_dir) -> List[dict]:
 
 
 def stage_summary(records: List[dict]) -> List[dict]:
-    """Wall-time aggregate per span name, slowest total first."""
-    stages: Dict[str, List[float]] = {}
-    for rec in records:
-        if rec.get("kind") == "span":
-            stages.setdefault(rec["name"], []).append(rec.get("dur_s", 0.0))
+    """Wall-time aggregate per span name, slowest total first.
+
+    Spans of one name can nest (the bench's ``compile`` span wraps the
+    driver's), so ``total_s`` counts inclusive time once: only spans
+    with no ancestor of the same name contribute, and ``count`` /
+    ``mean_s`` / ``max_s`` describe those outermost spans.  ``self_s``
+    sums, over every span of the name, its duration minus its direct
+    children's; self times never overlap, so they partition each
+    process's traced time.  Parents are resolved within one process
+    (span ids are per-process).
+    """
+    spans: Dict[tuple, dict] = {
+        (rec.get("pid"), rec.get("span_id")): rec
+        for rec in records if rec.get("kind") == "span"
+    }
+    child_s: Dict[tuple, float] = {}
+    for key, rec in spans.items():
+        parent = rec.get("parent_id")
+        if parent is not None:
+            pkey = (key[0], parent)
+            child_s[pkey] = child_s.get(pkey, 0.0) + rec.get("dur_s", 0.0)
+
+    def nested(key: tuple, name: str) -> bool:
+        seen = set()  # a corrupt trace file must not loop forever
+        parent = spans[key].get("parent_id")
+        while parent is not None and parent not in seen:
+            seen.add(parent)
+            rec = spans.get((key[0], parent))
+            if rec is None:
+                return False
+            if rec["name"] == name:
+                return True
+            parent = rec.get("parent_id")
+        return False
+
+    outer: Dict[str, List[float]] = {}
+    self_s: Dict[str, float] = {}
+    for key, rec in spans.items():
+        name = rec["name"]
+        dur = rec.get("dur_s", 0.0)
+        self_s[name] = self_s.get(name, 0.0) + max(
+            0.0, dur - child_s.get(key, 0.0)
+        )
+        if not nested(key, name):
+            outer.setdefault(name, []).append(dur)
     rows = []
-    for name, durations in stages.items():
+    for name, durations in outer.items():
         total = sum(durations)
         rows.append({
             "stage": name,
             "count": len(durations),
             "total_s": round(total, 4),
+            "self_s": round(self_s[name], 4),
             "mean_s": round(total / len(durations), 4),
             "max_s": round(max(durations), 4),
         })
@@ -207,12 +245,8 @@ def replay_paths(records: List[dict]) -> List[dict]:
     """``sim.replay`` events grouped by chosen replay path.
 
     Declined configs report ``inline:<reason>`` so the rows show *why*
-    the array kernel / stream path was skipped; kernel rows accumulate
-    the divergence patches, the follower verify/repair effort, the
-    fixed-point leader's iteration rounds and the windows served by the
-    cross-config batched-repair memo.  ``kernel-fallback`` rows (a
-    config the fixed-point leader could not converge) render like any
-    other path, with the rounds spent before giving up.
+    the stream path was skipped; stream rows accumulate the divergence
+    patches their replays needed.
     """
     rows: Dict[str, Dict[str, int]] = {}
     for rec in records:
@@ -223,17 +257,11 @@ def replay_paths(records: List[dict]) -> List[dict]:
         reason = tags.get("reason")
         if reason and path == "inline":
             path = f"inline:{reason}"
-        row = rows.setdefault(
-            path,
-            {"runs": 0, "patches": 0, "verify_rounds": 0,
-             "fixed_point_rounds": 0, "batched_windows": 0, "stepped": 0},
-        )
+        row = rows.setdefault(path, {"runs": 0, "patches": 0})
         row["runs"] += 1
-        for key in ("patches", "verify_rounds", "fixed_point_rounds",
-                    "batched_windows", "stepped"):
-            value = tags.get(key)
-            if isinstance(value, int):
-                row[key] += value
+        patches = tags.get("patches")
+        if isinstance(patches, int):
+            row["patches"] += patches
     return [
         dict(rows[path], path=path) for path in sorted(rows)
     ]

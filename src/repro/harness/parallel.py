@@ -158,7 +158,6 @@ def _task_sim(init: dict, store: ArtifactStore, payload: dict):
             }
             for sim in sims
         ],
-        sweep_width=payload.get("sweep"),
     )
 
 
@@ -450,10 +449,6 @@ def run_suite_parallel(runner, names: Sequence[str]):
                     "name": ws.name,
                     "key": ws.key,
                     "sims": plan[start : start + chunk],
-                    # Logical width of the whole sweep: chunks can be
-                    # narrower than the kernel's profitability gate, so
-                    # workers must see the un-sharded width.
-                    "sweep": len(plan),
                 },
             })
 

@@ -149,9 +149,8 @@ class MachineConfig:
     def load_latencies(self) -> tuple:
         """``(ld_lat, ld_hit_lat, miss_lat)`` writeback latencies.
 
-        One derivation for the four consumers that must agree exactly:
-        the inline pipeline, the scalar stream replay, the array
-        kernel's recording replay and its vectorized forward equations.
+        One derivation for the two consumers that must agree exactly:
+        the inline pipeline and the scalar stream replay.
         ``ld_hit_lat`` is the early-generated hit latency (the paper's
         single-cycle use of a predicted/calculated address), capped by
         the demand latency for degenerate sub-cycle configs.

@@ -59,11 +59,9 @@ from __future__ import annotations
 
 from array import array
 from collections import OrderedDict, deque
-from time import perf_counter as _perf_counter
 from typing import Dict, List, Optional, Sequence, Union
 
 from repro import obs
-from repro.envutil import env_int
 from repro.isa.opcodes import LoadSpec
 from repro.sim.addr_reg import RegisterCache
 from repro.sim.cache import DirectMappedCache
@@ -131,17 +129,6 @@ _PRECOMPUTE_MIN_N = 3000
 #: pure function of them), so sweeps memoize per-tuple results.
 _STATS_MEMO_LIMIT = 64
 
-#: Single-config batches keep the scalar replay: with no follower to
-#: amortize into, the kernel's recording leader plus verify pass loses
-#: to the plain scalar walk.  At width 2 the whole-trace recording
-#: pass closes the gap — the follower replays off the leader schedule
-#: at vector speed, which is what let the 2-config MediaBench sweeps
-#: onto the kernel (they regressed ~25% under the old window-stepped
-#: leader).  Donors from an earlier wide sweep lift the gate — a warm
-#: follower is cheap at any width.  Overridable for experiments via
-#: ``REPRO_KERNEL_MIN_SWEEP``.
-_KERNEL_MIN_SWEEP = env_int("REPRO_KERNEL_MIN_SWEEP", 2)
-
 #: Process-wide divergence counters (exposed for tests and the parity
 #: CLI): patched = resolved by a stream rebuild, fallbacks = rerun
 #: inline.
@@ -208,7 +195,7 @@ class TracePrecompute:
         "dyn_load_uids", "sword", "static_load_uids",
         "per_entry_bound", "total_cycle_bound",
         "_routes", "_dstreams", "_estreams", "_patches",
-        "_stats_memo", "kernel",
+        "_stats_memo",
     )
 
     def __init__(self, program, trace: Trace, cfg: MachineConfig):
@@ -335,8 +322,6 @@ class TracePrecompute:
         self._estreams: OrderedDict = OrderedDict()
         self._patches: OrderedDict = OrderedDict()
         self._stats_memo: OrderedDict = OrderedDict()
-        #: Lazily-populated :class:`repro.sim.replay_kernel.KernelState`.
-        self.kernel = None
 
     # -- derived per-config streams --------------------------------------
 
@@ -703,19 +688,6 @@ def replay_path_counts() -> Dict[str, int]:
     return dict(_replay_paths)
 
 
-_kernel_module = None
-
-
-def _kernel():
-    """The optional array-replay kernel (module import cached)."""
-    global _kernel_module
-    if _kernel_module is None:
-        from repro.sim import replay_kernel
-
-        _kernel_module = replay_kernel
-    return _kernel_module
-
-
 def _count_path(path: str) -> None:
     _replay_paths[path] = _replay_paths.get(path, 0) + 1
 
@@ -737,22 +709,16 @@ def _copy_stats(stats: SimStats) -> SimStats:
     return replace(stats, scheme_counts=dict(stats.scheme_counts))
 
 
-def try_fast(sim: TimingSimulator, build: bool = False,
-             sweep: int = 1, counters=None) -> Optional[SimStats]:
+def try_fast(sim: TimingSimulator,
+             build: bool = False) -> Optional[SimStats]:
     """Run *sim* on the precomputed-stream path, or return None when the
     config is inline-only, the precompute is cold (``build=False``), the
     trace is too short to amortize stream construction, or the replay
     diverged (wrong-address pollution that did not dispatch).
 
-    Within the stream path the per-config work is resolved, cheapest
-    first: a stats memo hit for an identical stream tuple, the array
-    kernel (donor-verified or recording leader) when numpy is present,
-    or the scalar replay.  *sweep* is the caller's batch width: the
-    kernel's leader costs more than the plain scalar replay, so narrow
-    sweeps (fewer than :data:`_KERNEL_MIN_SWEEP` configs) stay scalar
-    unless donors from an earlier wide sweep already exist.  *counters*
-    is an optional per-sweep kernel :class:`PathCounters` instance
-    (``_kernel().new_counters()``) threaded through to the replay.
+    Within the stream path each config resolves through the stats memo
+    when an identical stream tuple was already replayed, and through
+    the scalar :func:`_replay` otherwise.
     """
     cfg = sim.config
     eg = cfg.earlygen
@@ -788,24 +754,12 @@ def try_fast(sim: TimingSimulator, build: bool = False,
     excluded = pre.known_exclusions(eg, route)
     patched = 0
     for _ in range(_MAX_PATCH_RETRIES + 1):
-        if counters is not None:
-            # Stream (re)builds here are sweep-shared repair work: a
-            # divergence-patched stream lands in the per-trace cache
-            # and the converged exclusion set in the patch memo, so
-            # every later config with the same patch key reuses both.
-            t0 = _perf_counter()
-            dcodes, dmiss, store_miss, poll_miss = pre.dstream(
-                eg, route, excluded
-            )
-            counters.bump("repair_s", _perf_counter() - t0)
-        else:
-            dcodes, dmiss, store_miss, poll_miss = pre.dstream(
-                eg, route, excluded
-            )
+        dcodes, dmiss, store_miss, poll_miss = pre.dstream(
+            eg, route, excluded
+        )
         dtotals = (dmiss, store_miss, poll_miss)
         memo_key = (route, dcodes, dtotals, ecodes, excluded)
         memo = pre._stats_memo.get(memo_key)
-        info: dict = {}
         diverged: list = []
         if memo is not None:
             # The replay is a pure function of the stream tuple (the
@@ -814,41 +768,31 @@ def try_fast(sim: TimingSimulator, build: bool = False,
             pre._stats_memo.move_to_end(memo_key)
             stats, ra_interlock = memo
             stats = _copy_stats(stats)
-            info["path"] = "memo"
+            path = "memo"
         else:
-            kern = _kernel()
-            if kern.eligible(pre) and (
-                sweep >= _KERNEL_MIN_SWEEP
-                or (pre.kernel is not None and pre.kernel.donors)
-            ):
-                stats, ra_interlock = kern.replay(
-                    pre, cfg, route, dcodes, dtotals, ecodes,
-                    excluded, diverged, info, counters=counters,
-                )
-            else:
-                info["path"] = "scalar"
-                stats, ra_interlock = _replay(
-                    pre, cfg, route, dcodes, dtotals, ecodes,
-                    excluded, diverged,
-                )
+            path = "scalar"
+            stats, ra_interlock = _replay(
+                pre, cfg, route, dcodes, dtotals, ecodes,
+                excluded, diverged,
+            )
         if not diverged:
             pre.remember_exclusions(eg, route, excluded)
-            if info["path"] != "memo":
+            if path != "memo":
                 memo = pre._stats_memo
                 while len(memo) >= _STATS_MEMO_LIMIT:
                     memo.popitem(last=False)
                 memo[memo_key] = (_copy_stats(stats), ra_interlock)
-            _count_path(info["path"])
+            _count_path(path)
             tracer = obs.current()
             if tracer.enabled:
                 tracer.event(
                     "sim.replay",
+                    path=path,
                     patches=patched,
                     table=eg.table_entries,
                     regs=eg.cached_regs,
                     selection=eg.selection.value,
                     predictor=eg.predictor,
-                    **info,
                 )
             _emit_counters(sim, eg, stats, ra_interlock)
             return stats
@@ -1178,7 +1122,8 @@ def _assemble_stats(pre: TracePrecompute, route: bytes, dtotals: tuple,
                     calc_disp: int, calc_succ: int, calc_part: int,
                     sp_noport: int, sp_interlock: int,
                     sp_dmiss: int) -> SimStats:
-    """Shared stats assembly for the scalar replay and the array kernel."""
+    """``SimStats`` from the replay's end cycle and event counts plus the
+    trace-level totals the precompute already knows."""
     dmiss_total, store_miss_total, poll_miss_total = dtotals
     n_loads = pre.n_loads
     sc_p = route.count(1)
@@ -1248,32 +1193,11 @@ def warm_precompute(
 
 def warm_kernel(pre: Optional[TracePrecompute],
                 sweep: Optional[int] = None) -> float:
-    """Compile the array kernel's config-invariant arrays up front.
-
-    Lets the bench harness attribute the one-time array compilation to
-    its own ``replay_kernel_s`` stage instead of the first in-sweep
-    replay.  Returns the build time in seconds; 0.0 when the kernel is
-    unavailable, the trace is ineligible, or *sweep* (the upcoming
-    batch width, when the caller knows it) is below
-    :data:`_KERNEL_MIN_SWEEP` — nothing is built then and the sweep
-    uses the scalar/inline paths unchanged.
-    """
-    if pre is None:
-        return 0.0
-    if sweep is not None and sweep < _KERNEL_MIN_SWEEP:
-        return 0.0
-    kern = _kernel()
-    if not kern.eligible(pre):
-        return 0.0
-    return kern.warm_kernel(pre)
-
-
-def kernel_counters():
-    """A fresh per-sweep kernel path-counter object (or None when the
-    kernel module cannot produce one).  Callers pass it to
-    :func:`simulate_many` to observe one sweep's path split and stage
-    timings in isolation from other sweeps in the process."""
-    return _kernel().new_counters()
+    """Compatibility shim for the frozen ``perfbench`` harness, which
+    times a ``kernel`` stage between precompute and sweep.  Warm sweeps
+    run on the scalar stream replay, so there is nothing to build:
+    always returns ``0.0``."""
+    return 0.0
 
 
 def simulate_many(
@@ -1282,8 +1206,6 @@ def simulate_many(
     machine: Optional[MachineConfig] = None,
     overrides: Optional[Sequence[Optional[Dict[int, LoadSpec]]]] = None,
     span_tags: Optional[Sequence[Optional[dict]]] = None,
-    counters=None,
-    sweep_width: Optional[int] = None,
 ) -> List[SimStats]:
     """Simulate *trace* under every config, sharing one precompute.
 
@@ -1295,19 +1217,9 @@ def simulate_many(
     order and byte-identical to independent ``TimingSimulator`` runs —
     configs the streams cannot express (hardware dual-path, diverging
     pollution) transparently use the inline path.
-
-    *counters* is the sweep's kernel :class:`PathCounters` (one is
-    created when omitted so a sweep never shares another's object);
-    *sweep_width* declares the logical width of the sweep this batch
-    belongs to, for callers that shard one sweep across workers or
-    skip cached entries — the kernel profitability gate then sees the
-    full width instead of the (possibly narrow) batch length.
     """
     base = machine if machine is not None else MachineConfig()
     tracer = obs.current()
-    sweep = max(len(configs), sweep_width or 0)
-    if counters is None:
-        counters = kernel_counters()
     results: List[SimStats] = []
     for idx, item in enumerate(configs):
         if isinstance(item, MachineConfig):
@@ -1319,13 +1231,11 @@ def simulate_many(
         tags = span_tags[idx] if span_tags is not None else None
         if tags is not None:
             with tracer.span("sim", **tags):
-                stats = try_fast(sim, build=True, sweep=sweep,
-                                 counters=counters)
+                stats = try_fast(sim, build=True)
                 if stats is None:
                     stats = sim._run_inline()
         else:
-            stats = try_fast(sim, build=True, sweep=sweep,
-                             counters=counters)
+            stats = try_fast(sim, build=True)
             if stats is None:
                 stats = sim._run_inline()
         results.append(stats)
@@ -1370,18 +1280,6 @@ def _parity_main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument(
         "--workloads", nargs="*", default=None,
         help="restrict to these workload names",
-    )
-    parser.add_argument(
-        "--require-kernel", action="store_true",
-        help="fail unless the array kernel actually replayed configs "
-        "(CI kernel-parity job: proves numpy was present and used)",
-    )
-    parser.add_argument(
-        "--require-leaderless", action="store_true",
-        help="fail if any kernel config fell back to the scalar "
-        "recording replay (CI kernel-parity job: proves warm sweeps "
-        "are served entirely by donor-verified followers and "
-        "fixed-point leaders)",
     )
     parser.add_argument(
         "--predictor", default=None, metavar="NAME",
@@ -1485,25 +1383,6 @@ def _parity_main(argv: Optional[Sequence[str]] = None) -> int:
                   "pipeline: " + ", ".join(
                       f"{k}={v}" for k, v in sorted(fallbacks.items())
                   ))
-            return 1
-    if args.require_kernel:
-        kernel_runs = sum(
-            v for k, v in paths.items() if k.startswith("kernel-")
-        )
-        if not _kernel().kernel_available():
-            print("require-kernel: numpy unavailable")
-            return 1
-        if not kernel_runs:
-            print("require-kernel: no config took the kernel path")
-            return 1
-    if args.require_leaderless:
-        # Both views count the same events; max() guards against one
-        # layer being reset by a test harness.
-        scalar_falls = max(paths.get("kernel-fallback", 0),
-                           _kernel().path_counts()["fallbacks"])
-        if scalar_falls:
-            print(f"require-leaderless: {scalar_falls} kernel configs "
-                  "fell back to the scalar recording replay")
             return 1
     return 1 if mismatches else 0
 

@@ -3,8 +3,8 @@
 The paper's Fig. 3 stride table is one backend among several behind the
 :class:`~repro.sim.predictors.base.Predictor` protocol; see
 ``base.py`` for the contract and DESIGN.md ("Predictor backends") for
-how the registry feeds the pipeline, the precompute stream factory, and
-the replay kernel.  Importing this package registers every built-in
+how the registry feeds the pipeline and the precompute stream factory.
+Importing this package registers every built-in
 backend:
 
 * ``stride`` — the paper's PC-indexed stride table (reference backend),

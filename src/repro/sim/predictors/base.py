@@ -2,9 +2,9 @@
 
 Every speculation backend — the paper's Fig. 3 stride table, the
 Hermes-style perceptron, the Jalili–Erez cache-level predictor — sits
-behind the same three-method surface so the timing pipeline, the
-stream-precompute fast path, and the replay kernel never special-case a
-backend beyond its name:
+behind the same three-method surface so the timing pipeline and the
+stream-precompute fast path never special-case a backend beyond its
+name:
 
 * :meth:`Predictor.probe` — ID1-stage lookup: the predicted effective
   address to dispatch speculatively, or ``None`` (table miss, learning
@@ -29,8 +29,8 @@ and relied on by :mod:`repro.sim.precompute`):
 The registry doubles as the *outcome-stream factory* for the precompute
 layer: :func:`create` builds a fresh backend from an
 ``EarlyGenConfig``-shaped object, and :func:`predictor_key` produces the
-canonical hashable key that outcome streams, patch memos, and kernel
-donor neighbourhoods are cached under.
+canonical hashable key that outcome streams and patch memos are cached
+under.
 """
 
 from __future__ import annotations
@@ -192,9 +192,9 @@ def create(eg) -> Optional[Predictor]:
 def predictor_key(eg) -> tuple:
     """Canonical cache key of *eg*'s prediction configuration.
 
-    Outcome streams, divergence-patch memos, and kernel donor
-    neighbourhoods are keyed by this tuple; two configs with equal keys
-    drive byte-identical backend state machines.
+    Outcome streams and divergence-patch memos are keyed by this tuple;
+    two configs with equal keys drive byte-identical backend state
+    machines.
     """
     if not eg.table_entries:
         return ("none",)

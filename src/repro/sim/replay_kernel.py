@@ -1,2443 +1,7 @@
-"""Array-compiled replay kernel for warm multi-config sweeps.
+"""Placeholder module kept only for the frozen ``perfbench`` harness.
 
-:func:`repro.sim.precompute._replay` resolves one config's timing with a
-Python-level loop over the interned record stream.  A sweep replays the
-same stream 17+ times, and the schedules it produces are overwhelmingly
-similar across configs — the routing/outcome streams differ at a few
-percent of loads between neighbouring configs (and not at all between
-many of them).  This module compiles the record stream into dense numpy
-arrays once per ``(trace, machine)`` and turns every subsequent config's
-replay into *verification* instead of *simulation*:
-
-1.  **Follower** configs copy the nearest donor's ``(T, O)`` schedule
-    and check it against this config's streams with vectorized
-    forward-equation passes — the full dependence/issue/port/interlock
-    recurrence evaluated for every record at once.  The replay
-    recurrence has a unique fixed point (each record's issue time is a
-    function of strictly earlier records), so a candidate schedule that
-    satisfies *every* per-record equation **is** the exact replay; any
-    position that fails is re-simulated by a scalar stepper window and
-    the repaired schedule is verified again.  Only a candidate with
-    zero failing equations is ever accepted — byte-identical
-    ``SimStats`` or fallback, never approximate, exactly the PR-5
-    divergence-patching contract.
-2.  **Leader** configs (no donor close enough) are scheduled by the
-    same forward equations run to a *fixed point* instead of a scalar
-    recording replay: seed the issue cycles from the dependence-free
-    front-end floor, then iterate {evaluate equations, re-solve the
-    issue chain with a max-plus prefix scan} until a pass reports zero
-    mismatches.  Serially-bound stretches the per-round scan advances
-    only one dependence hop at a time (pointer chases) are stepped by
-    the scalar window stepper mid-iteration, exactly like follower
-    repairs.  Acceptance is the same zero-mismatch pass, so the leader
-    is exact by the same argument — the construction is only a
-    convergence strategy.
-3.  **Batched repair**: follower candidates of one sweep fail at
-    overwhelmingly overlapping windows (they copy the same donors), so
-    each stepped window is memoized *relative to its entry cycle* and
-    keyed by everything the stepper read; later configs of the sweep
-    apply the recorded per-config delta instead of re-entering the
-    Python stepper.  Hits remain gated by the zero-mismatch pass.
-
-The fallback ladder per config is therefore donor-follower →
-fixed-point leader → scalar recording replay (``kernel-fallback``,
-still exact); warm wide sweeps are expected to never reach the last
-rung.
-
-The per-record equations verified for a candidate ``(T, O)``:
-
-* ``c0[i] = max(T[i-1] + redirect[i-1] + pen[i], V[p1[i]], V[p2[i]],
-  V[p3[i]])`` where ``V[j] = T[j] + latency(j)`` and ``p*`` are the
-  statically-resolved producer records of ``i``'s source registers;
-* ``T[i] = c0[i] + bump[i]`` where ``bump`` is the single re-arbitration
-  cycle charged when the issue-width / unit / port counts consumed at
-  cycle ``c0[i]`` by earlier records are saturated (the scalar loop's
-  counters reset on every clock advance, so those counts are exactly
-  segment sums over the run of records sharing the cycle — computed
-  with ``searchsorted`` + prefix sums);
-* the speculative-port window read by the early-dispatch paths is the
-  count of memory-port charges at cycle ``c0[i] - 2`` plus same-cycle
-  unbumped speculative charges (the scalar loop's three-slot shifting
-  window composes shifts, so its content at any read equals that
-  absolute-cycle count);
-* store-queue interlock holds iff the most recent earlier same-word
-  store issued at ``T_s >= c0[i] - 1``; the ``R_addr`` interlock iff
-  the base register's producer has ``V > c0[i] - 2``;
-* ``O[i]`` matches the outcome implied by the config's
-  routing/dcache/predictor/calc streams under those port and interlock
-  facts.
-
-Everything here is optional: without numpy (or with
-``REPRO_DISABLE_KERNEL=1``) the precompute layer keeps using the scalar
-replay and produces byte-identical results.  ``REPRO_NO_NUMPY=1``
-simulates a missing numpy install for tests/CI.
+``perfbench/bench.py`` imports ``repro.sim.replay_kernel`` while it
+warms the package's imports.  Warm sweeps run on the scalar stream
+replay in :mod:`repro.sim.precompute`; this module defines nothing and
+imports nothing.
 """
-
-from __future__ import annotations
-
-import os
-from array import array
-from collections import OrderedDict, deque
-from time import perf_counter
-from typing import Optional
-
-from repro.envutil import env_int
-from repro.sim.predictors import predictor_key as _predictor_key
-
-try:  # pragma: no cover - exercised via the no-numpy CI job
-    if os.environ.get("REPRO_NO_NUMPY"):
-        raise ImportError("numpy disabled by REPRO_NO_NUMPY")
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
-
-#: Traces shorter than this replay faster scalar than the array
-#: compilation + verification machinery can pay for itself.
-#: Overridable for experiments via ``REPRO_KERNEL_MIN_N``.
-_KERNEL_MIN_N = env_int("REPRO_KERNEL_MIN_N", 4096)
-#: Candidate schedules are only borrowed from a donor whose streams
-#: differ at no more than this fraction of dynamic loads.  Exactness
-#: never depends on this choice (the zero-mismatch gate does that); it
-#: only bounds how much repair stepping a follower may buy into, so it
-#: is deliberately loose — repairing half the trace scalar still beats
-#: scheduling a fresh leader from scratch.
-_MAX_DIFF_FRAC = 0.5
-#: Verify/repair bounds before the config falls back to a scalar leader
-#: replay (still exact, just unaccelerated).
-_MAX_ROUNDS = 24
-_SYNC_RUN = 12
-_REGION_GAP = 48
-#: Donor schedules kept per precompute (LRU).
-_DONOR_LIMIT = 8
-#: Fixed-point leader bounds: outer evaluation rounds, and how many
-#: rounds without a new mismatch-count minimum before the first failing
-#: window is handed to the scalar stepper (a serially-bound stretch the
-#: per-round scan closes one dependence hop at a time).
-_FP_MAX_ROUNDS = 64
-_FP_STALL = 2
-#: Batched-repair memo shape: entry-state lookback (records at most
-#: ``issue_width`` share a cycle, so 64 records safely cover the <= 4
-#: cycles the stepper's entry reconstruction reads), the largest window
-#: worth memoizing, and the LRU caps.
-_ENTRY_LOOKBACK = 64
-_MEMO_MAX_EXTENT = 4096
-_MEMO_STARTS = 32
-_MEMO_PER_START = 4
-#: Obs/report chunk granularity: mismatch scanning and the progress
-#: accounting work in fixed-size chunks (the final chunk is usually
-#: shorter — covered by tests).
-_CHUNK = 4096
-
-#: Minimum stepped span for the list-mode stepping loop: below this the
-#: O(n) list materialization costs more than it saves.
-_LIST_STEP_MIN = 2048
-
-#: A repair round whose mismatches split into at least this many
-#: regions steps one contiguous sweep through the whole failing span
-#: instead: per-window entry reconstruction is the dominant cost once
-#: mismatches scatter (pointer-chase traces produce thousands of
-#: few-record windows).
-_SCATTER_REGIONS = 24
-
-# Load outcome codes shared by the recording replay, the verifier and
-# the stats assembly.  "dispatched" is ``O >= 2``; "success" is 5 or 6.
-_O_NONE = 0
-_O_NOPORT = 1
-_O_WRONG = 2
-_O_ILK = 3
-_O_DMISS = 4
-_O_SUCC = 5
-_O_PART = 6
-_O_RA = 7
-
-class PathCounters:
-    """Per-sweep kernel path/effort counters.
-
-    :func:`repro.sim.precompute.simulate_many` threads one instance
-    through each sweep so parallel tests and the bench harness see
-    isolated counts instead of sharing process-wide mutable globals.
-    Every increment also mirrors into the module aggregate behind
-    :func:`path_counts`, which keeps the legacy process-wide view
-    (the pre-PR10 ``_kernel_*`` globals) as a shim.
-
-    ``leader_s`` / ``repair_s`` accumulate the wall time of the
-    fixed-point leader and the follower verify/repair passes — the
-    bench harness records them as schema-4 stage splits.
-    """
-
-    __slots__ = ("followers", "leaders", "fallbacks",
-                 "fixed_point_rounds", "batched_windows",
-                 "leader_s", "repair_s", "_mirror")
-
-    def __init__(self, _mirror: "Optional[PathCounters]" = None):
-        self.followers = 0
-        self.leaders = 0
-        self.fallbacks = 0
-        self.fixed_point_rounds = 0
-        self.batched_windows = 0
-        self.leader_s = 0.0
-        self.repair_s = 0.0
-        self._mirror = _mirror
-
-    def bump(self, field: str, amount=1) -> None:
-        setattr(self, field, getattr(self, field) + amount)
-        if self._mirror is not None:
-            self._mirror.bump(field, amount)
-
-    def as_dict(self) -> dict:
-        return {
-            "followers": self.followers,
-            "leaders": self.leaders,
-            "fallbacks": self.fallbacks,
-            "fixed_point_rounds": self.fixed_point_rounds,
-            "batched_windows": self.batched_windows,
-            "leader_s": self.leader_s,
-            "repair_s": self.repair_s,
-        }
-
-
-#: Process-wide aggregate every per-sweep counter mirrors into.
-_TOTALS = PathCounters()
-
-
-def new_counters() -> PathCounters:
-    """A fresh per-sweep counter object mirroring into the aggregate."""
-    return PathCounters(_mirror=_TOTALS)
-
-
-def kernel_available() -> bool:
-    """numpy importable and the kernel not disabled via environment."""
-    return _np is not None and not os.environ.get("REPRO_DISABLE_KERNEL")
-
-
-def path_counts() -> dict:
-    """Aggregated kernel path counters (tests, parity CLI)."""
-    return {
-        "followers": _TOTALS.followers,
-        "leaders": _TOTALS.leaders,
-        "fallbacks": _TOTALS.fallbacks,
-        "fixed_point_rounds": _TOTALS.fixed_point_rounds,
-        "batched_windows": _TOTALS.batched_windows,
-    }
-
-
-def eligible(pre) -> bool:
-    return (
-        kernel_available()
-        and pre.records is not None
-        and pre.n >= _KERNEL_MIN_N
-        and pre.n_loads > 0
-    )
-
-
-# ---------------------------------------------------------------------------
-# Config-invariant array compilation
-# ---------------------------------------------------------------------------
-
-class KernelArrays:
-    """The record stream compiled to dense arrays, once per precompute.
-
-    Producer resolution turns the scalar loop's register file into a
-    gather: ``p1/p2/p3[i]`` is the index of the last earlier record that
-    writes the corresponding source register (calls write r63, branches
-    and stores write nothing), stored pre-offset by one so a missing
-    producer indexes a zero sentinel.
-    """
-
-    __slots__ = (
-        "n", "nl", "ns", "kind", "pen", "redir", "latx",
-        "p1o", "p2o", "p3o", "prod_base_o",
-        "rec_of_load", "rec_of_store", "lastmatch",
-        "lword", "sword", "arange",
-        "m_alu", "m_fp", "m_bru", "m_free", "m_load", "m_store",
-        "c_alu", "c_fp", "c_bru", "n_chunks", "_lists",
-    )
-
-    def __init__(self, pre):
-        np = _np
-        records = pre.records
-        n = len(records)
-        kind = bytearray(n)
-        pen_a = array("q", bytes(8 * n))
-        redir_a = array("q", bytes(8 * n))
-        latx_a = array("q", bytes(8 * n))
-        p1_a = array("i", bytes(4 * n))
-        p2_a = array("i", bytes(4 * n))
-        p3_a = array("i", bytes(4 * n))
-        nl = pre.n_loads
-        prod_base_a = array("i", bytes(4 * nl))
-        lastmatch_a = array("i", bytes(4 * nl))
-        lbase = pre.lbase
-        lword = pre.lword
-        sword = pre.sword
-
-        lastw = [0] * 130  # pre-offset producer indices; 0 = none
-        last_store_for_word: dict = {}
-        li = 0
-        si = 0
-        for i in range(n):
-            k, pen, s1, s2, s3, dest, x = records[i]
-            kind[i] = k
-            if pen:
-                pen_a[i] = pen
-            p1_a[i] = lastw[s1]
-            p2_a[i] = lastw[s2]
-            p3_a[i] = lastw[s3]
-            if k == 0:
-                prod_base_a[li] = lastw[lbase[li]]
-                lastmatch_a[li] = last_store_for_word.get(lword[li], 0)
-                lastw[dest] = i + 1
-                li += 1
-            elif k == 1:
-                last_store_for_word[sword[si]] = si + 1
-                si += 1
-            elif k == 2:
-                if x:
-                    redir_a[i] = x
-            elif k == 3:
-                if x:
-                    redir_a[i] = x
-                latx_a[i] = 1  # calls write r63 ready at cur + 1
-                lastw[63] = i + 1
-            else:  # ALU / FP / FREE
-                latx_a[i] = x
-                lastw[dest] = i + 1
-
-        self.n = n
-        self.nl = nl
-        self.ns = pre.n_stores
-        self.kind = np.frombuffer(bytes(kind), dtype=np.uint8)
-        self.pen = np.frombuffer(pen_a, dtype=np.int64)
-        self.redir = np.frombuffer(redir_a, dtype=np.int64)
-        self.latx = np.frombuffer(latx_a, dtype=np.int64)
-        self.p1o = np.frombuffer(p1_a, dtype=np.int32).astype(np.int64)
-        self.p2o = np.frombuffer(p2_a, dtype=np.int32).astype(np.int64)
-        self.p3o = np.frombuffer(p3_a, dtype=np.int32).astype(np.int64)
-        self.prod_base_o = np.frombuffer(
-            prod_base_a, dtype=np.int32
-        ).astype(np.int64)
-        self.lastmatch = np.frombuffer(
-            lastmatch_a, dtype=np.int32
-        ).astype(np.int64)
-        kv = self.kind
-        self.m_load = kv == 0
-        self.m_store = kv == 1
-        self.m_bru = (kv == 2) | (kv == 3)
-        self.m_alu = kv == 4
-        self.m_fp = kv == 5
-        self.m_free = kv == 6
-        self.rec_of_load = np.nonzero(self.m_load)[0]
-        self.rec_of_store = np.nonzero(self.m_store)[0]
-        self.lword = np.asarray(lword, dtype=np.int64)
-        self.sword = np.asarray(sword, dtype=np.int64)
-        self.arange = np.arange(n, dtype=np.int64)
-        self.c_alu = _ex_cumsum(self.m_alu)
-        self.c_fp = _ex_cumsum(self.m_fp)
-        self.c_bru = _ex_cumsum(self.m_bru)
-        self.n_chunks = (n + _CHUNK - 1) // _CHUNK
-        self._lists = None
-
-    def lists(self) -> "_StepLists":
-        """Plain-list views for the scalar stepper's hot loop.
-
-        Built lazily once per trace: list indexing beats per-element
-        numpy scalar extraction (and the ``searchsorted`` producer
-        lookups it replaces) by an order of magnitude in the
-        per-record stepping loop.
-        """
-        if self._lists is None:
-            np = _np
-            lord = np.where(
-                self.m_load, np.cumsum(self.m_load) - 1, -1
-            )
-            self._lists = _StepLists(
-                self.p1o.tolist(), self.p2o.tolist(), self.p3o.tolist(),
-                self.prod_base_o.tolist(), lord.tolist(),
-                self.latx.tolist(),
-            )
-        return self._lists
-
-
-class _StepLists:
-    __slots__ = ("p1l", "p2l", "p3l", "prodbl", "lordl", "latxl")
-
-    def __init__(self, p1l, p2l, p3l, prodbl, lordl, latxl):
-        self.p1l = p1l
-        self.p2l = p2l
-        self.p3l = p3l
-        self.prodbl = prodbl
-        self.lordl = lordl
-        self.latxl = latxl
-
-
-def _ex_cumsum(mask):
-    out = _np.zeros(len(mask) + 1, dtype=_np.int64)
-    _np.cumsum(mask, out=out[1:])
-    return out
-
-
-def _mc_head(mc) -> bytes:
-    """Machine-dimension prefix of a repair-memo signature."""
-    return b"%d,%d,%d,%d,%d,%d,%d,%d;" % (
-        mc.width, mc.n_ports, mc.n_alus, mc.n_fpus, mc.n_brus,
-        mc.ld_lat, mc.ld_hit_lat, mc.miss_lat,
-    )
-
-
-def _window_sig(ka, mc, rv, dv, ev, T, O, start: int, extent: int,
-                t_off: int = 0, l_off: int = 0):
-    """Signature of everything the stepper reads for window *start*.
-
-    Issue cycles are rebased to the window's entry cycle
-    ``T[start - 1]`` so the signature is portable across configs whose
-    absolute schedules differ by accumulated earlier deltas — the
-    entire point of batching repairs across one sweep's followers.
-    Covers the entry lookback (the stepper's window/store-queue
-    reconstruction never reads below ``T[start-1] - 3``, which
-    :data:`_ENTRY_LOOKBACK` records bound because at most
-    ``issue_width`` records share a cycle), the candidate content over
-    the window, and the per-load streams.  Producer ready times
-    *outside* the lookback are deliberately unsigged: a collision there
-    is caught by the caller's zero-mismatch verification pass, costing
-    repair rounds but never exactness.
-
-    ``t_off``/``l_off`` let the store path pass pre-step snapshot
-    slices (indexed from the lookback start / its first load) through
-    the same layout as the live arrays.  Returns None when the window
-    is not memoizable (trace head, entry not contained).
-    """
-    np = _np
-    stop = start + extent
-    if start <= 0 or stop > ka.n:
-        return None
-    e0 = max(0, start - _ENTRY_LOOKBACK)
-    base = int(T[start - 1 - t_off])
-    if e0 > 0 and int(T[e0 - t_off]) >= base - 3:
-        return None
-    rec_l = ka.rec_of_load
-    le0 = int(np.searchsorted(rec_l, e0))
-    l0 = int(np.searchsorted(rec_l, start))
-    l1 = int(np.searchsorted(rec_l, stop))
-    rel = T[e0 - t_off : stop - t_off] - base
-    return (
-        _mc_head(mc)
-        + rel.tobytes()
-        + O[le0 - l_off : l1 - l_off].tobytes()
-        + rv[le0:l1].tobytes()
-        + dv[le0:l1].tobytes()
-        + ev[l0:l1].tobytes()
-    )
-
-
-class _RepairMemo:
-    """Cross-config batched repair: each failing window stepped once.
-
-    Follower candidates of one sweep fail at overwhelmingly overlapping
-    record windows (they copy the same donor schedules), so the first
-    config to step a window registers the repair *relative to the
-    window's entry cycle* under a :func:`_window_sig` key; later
-    configs whose signature matches apply the stored segment and
-    suffix delta instead of re-entering the Python stepper.  Entries
-    that survive a bad application (signature collision on unsigged
-    far-back producers) are dropped by the caller; hits are always
-    re-gated by the zero-mismatch verification pass.
-    """
-
-    __slots__ = ("entries",)
-
-    def __init__(self):
-        # start record -> [(extent, sig, relT_new, newO, suffix_delta)]
-        self.entries: OrderedDict = OrderedDict()
-
-    def lookup(self, ka, mc, rv, dv, ev, T, O, start: int):
-        bucket = self.entries.get(start)
-        if not bucket:
-            return None
-        for extent, sig, relT_new, newO, delta in bucket:
-            got = _window_sig(ka, mc, rv, dv, ev, T, O, start, extent)
-            if got is not None and got == sig:
-                self.entries.move_to_end(start)
-                return extent, relT_new, newO, delta
-        return None
-
-    def store(self, start: int, extent: int, sig: bytes,
-              relT_new, newO, delta: int) -> None:
-        bucket = self.entries.setdefault(start, [])
-        if len(bucket) >= _MEMO_PER_START:
-            bucket.pop(0)
-        bucket.append((extent, sig, relT_new, newO, delta))
-        self.entries.move_to_end(start)
-        while len(self.entries) > _MEMO_STARTS:
-            self.entries.popitem(last=False)
-
-    def drop(self, start: int) -> None:
-        self.entries.pop(start, None)
-
-
-class _Donor:
-    __slots__ = ("key", "T", "O", "rv", "dv", "ev")
-
-    def __init__(self, key, T, O, nl):
-        self.key = key
-        self.T = T
-        self.O = O
-        _pkey, route, dcodes, ecodes, _excl = key
-        # Stream views decoded once at registration: pick_donor compares
-        # against every stored donor per config, so per-pick frombuffer
-        # calls add up across a sweep.
-        self.rv = _np.frombuffer(route, dtype=_np.uint8)
-        self.dv = _np.frombuffer(dcodes, dtype=_np.uint8)
-        self.ev = _ecview(ecodes, nl)
-
-
-class KernelState:
-    """Per-precompute kernel state: compiled arrays, donor schedules and
-    the cross-config batched-repair memo shared by one sweep."""
-
-    __slots__ = ("arrays", "donors", "repairs", "build_seconds")
-
-    def __init__(self):
-        self.arrays: Optional[KernelArrays] = None
-        self.donors: OrderedDict = OrderedDict()
-        self.repairs = _RepairMemo()
-        self.build_seconds = 0.0
-
-    def ensure_arrays(self, pre) -> KernelArrays:
-        if self.arrays is None:
-            import time
-
-            t0 = time.perf_counter()
-            self.arrays = KernelArrays(pre)
-            self.build_seconds = time.perf_counter() - t0
-        return self.arrays
-
-    def register(self, key, T, O, nl) -> None:
-        donors = self.donors
-        if key in donors:
-            donors.move_to_end(key)
-            return
-        while len(donors) >= _DONOR_LIMIT:
-            donors.popitem(last=False)
-        donors[key] = _Donor(key, T, O, nl)
-
-    def pick_donor(self, key, nl):
-        """Nearest donor by stream diff density, or None."""
-        np = _np
-        pkey, route, dcodes, ecodes, excluded = key
-        rv = np.frombuffer(route, dtype=np.uint8)
-        dv = np.frombuffer(dcodes, dtype=np.uint8)
-        ev = _ecview(ecodes, nl)
-        best = None
-        best_diff = None
-        for dkey, donor in self.donors.items():
-            dexcl = dkey[4]
-            # Cross-backend donors are allowed: the zero-mismatch gate
-            # makes any borrow exact, so the only question is stream
-            # distance, which the diff density below measures directly.
-            diff = int(
-                np.count_nonzero(
-                    (rv != donor.rv) | (dv != donor.dv) | (ev != donor.ev)
-                )
-            )
-            diff += len(excluded.symmetric_difference(dexcl))
-            if best_diff is None or diff < best_diff:
-                best, best_diff = donor, diff
-                if diff == 0:
-                    break
-        if best is None or best_diff > nl * _MAX_DIFF_FRAC:
-            return None
-        self.donors.move_to_end(best.key)
-        return best
-
-
-def _ecview(ecodes: bytes, nl: int):
-    if ecodes:
-        return _np.frombuffer(ecodes, dtype=_np.uint8)
-    return _np.zeros(nl, dtype=_np.uint8)
-
-
-def _state(pre) -> KernelState:
-    st = pre.kernel
-    if st is None:
-        st = pre.kernel = KernelState()
-    return st
-
-
-def warm_kernel(pre) -> float:
-    """Build the config-invariant arrays; returns the build time.
-
-    The bench harness calls this between the ``precompute`` and ``sim``
-    stages so one-time array compilation is attributed to its own
-    ``replay_kernel_s`` stage split rather than to per-config sim time.
-    """
-    if not eligible(pre):
-        return 0.0
-    st = _state(pre)
-    st.ensure_arrays(pre)
-    return st.build_seconds
-
-
-# ---------------------------------------------------------------------------
-# Machine constants bundle
-# ---------------------------------------------------------------------------
-
-class _Mc:
-    __slots__ = (
-        "width", "n_ports", "n_alus", "n_fpus", "n_brus",
-        "ld_lat", "ld_hit_lat", "miss_lat",
-    )
-
-    def __init__(self, cfg):
-        self.width = cfg.issue_width
-        self.n_ports = cfg.mem_ports
-        self.n_alus = cfg.int_alus
-        self.n_fpus = cfg.fp_alus
-        self.n_brus = cfg.branch_units
-        self.ld_lat, self.ld_hit_lat, self.miss_lat = cfg.load_latencies()
-
-
-# ---------------------------------------------------------------------------
-# Vectorized forward-equation verification
-# ---------------------------------------------------------------------------
-
-def _load_latency(mc: _Mc, rv, dv, O):
-    """Per-load writeback latency implied by route + outcome."""
-    np = _np
-    lat = np.where((dv & 1) != 0, mc.ld_lat, mc.miss_lat)
-    succ = O == _O_SUCC
-    lat = np.where((rv == 1) & succ, mc.ld_hit_lat, lat)
-    lat = np.where((rv == 2) & succ, 0, lat)
-    lat = np.where(O == _O_PART, 1, lat)
-    return lat
-
-
-def _forward_quantities(ka: KernelArrays, mc: _Mc, rv, dv, ev, T, O):
-    """One pass of the forward equations over candidate ``(T, O)``.
-
-    Returns ``(dep, bump, expT, expO)``: the dependence-readiness floor
-    and re-arbitration bump feed the fixed-point leader's prefix-scan
-    update; ``expT``/``expO`` are the expected schedule the verifier
-    compares against.
-    """
-    np = _np
-    n = ka.n
-    rec_l = ka.rec_of_load
-
-    latL = _load_latency(mc, rv, dv, O)
-    vlat = ka.latx.copy()
-    vlat[rec_l] = latL
-    V = T + vlat
-    Vp = np.empty(n + 1, dtype=np.int64)
-    Vp[0] = 0
-    Vp[1:] = V
-
-    dep = Vp[ka.p1o]
-    np.maximum(dep, Vp[ka.p2o], out=dep)
-    np.maximum(dep, Vp[ka.p3o], out=dep)
-    base = np.empty(n, dtype=np.int64)
-    base[0] = 0
-    np.add(T[:-1], ka.redir[:-1], out=base[1:])
-    base += ka.pen
-    c0 = np.maximum(base, dep)
-
-    succ = (O == _O_SUCC) | (O == _O_PART)
-    succ_rec = np.zeros(n, dtype=bool)
-    succ_rec[rec_l] = succ
-    memchg = ka.m_store | (ka.m_load & ~succ_rec)
-    cM = _ex_cumsum(memchg)
-
-    # Per-cycle resource counts consumed by earlier records: the run of
-    # records sharing cycle c0[i] is a suffix of [0, i) because issue
-    # cycles are monotone.  c0[i] >= T[i-1] holds by construction
-    # (base >= T[i-1] with pen/redirect >= 0), so the segment start is
-    # either the run start of T[i-1]'s value or i itself; a candidate
-    # whose own T violates monotonicity necessarily fails the
-    # T == c0 + bump comparison (expT >= c0 >= T[i-1] > T[i]), so an
-    # accepted (zero-mismatch) pass also proves sortedness and with it
-    # the soundness of these segment counts.
-    run_start = np.where(
-        np.concatenate(([True], T[1:] != T[:-1])), ka.arange, 0
-    )
-    np.maximum.accumulate(run_start, out=run_start)
-    idx = ka.arange.copy()
-    cont = np.zeros(n, dtype=bool)
-    cont[1:] = c0[1:] == T[:-1]
-    idx[cont] = run_start[:-1][cont[1:]]
-    iss_cnt = ka.arange - idx
-    bump = iss_cnt >= mc.width
-    bump |= ka.m_alu & ((ka.c_alu[:n] - ka.c_alu[idx]) >= mc.n_alus)
-    bump |= ka.m_fp & ((ka.c_fp[:n] - ka.c_fp[idx]) >= mc.n_fpus)
-    bump |= ka.m_bru & ((ka.c_bru[:n] - ka.c_bru[idx]) >= mc.n_brus)
-    pc_cnt = cM[:n] - cM[idx]
-    bump |= (ka.m_store | (ka.m_load & ~succ_rec)) & (pc_cnt >= mc.n_ports)
-    expT = c0 + bump
-
-    # Speculative-port window at each load's evaluation point: memory
-    # charges two cycles back plus same-cycle unbumped spec dispatches.
-    c0l = c0[rec_l]
-    lo = np.searchsorted(T, c0l - 2, side="left")
-    hi = np.searchsorted(T, c0l - 2, side="right")
-    mcnt = cM[hi] - cM[lo]
-    disp = O >= 2
-    spec_rec = np.zeros(n, dtype=bool)
-    spec_rec[rec_l] = disp
-    spec_rec &= T == c0
-    cS = _ex_cumsum(spec_rec)
-    idx_l = idx[rec_l]
-    pp_at = mcnt + (cS[rec_l] - cS[idx_l])
-    noport = pp_at >= mc.n_ports
-
-    ra = Vp[ka.prod_base_o[: ka.nl]] > c0l - 2
-    if ka.ns:
-        t_store = T[ka.rec_of_store]
-        lm = ka.lastmatch
-        ilk = (lm > 0) & (t_store[np.maximum(lm - 1, 0)] >= c0l - 1)
-    else:
-        ilk = np.zeros(ka.nl, dtype=bool)
-
-    func = (dv & 2) != 0
-    corr = (dv & 4) != 0
-    dhit = (dv & 1) != 0
-    exp1 = np.where(
-        ~func, _O_NONE,
-        np.where(
-            noport, _O_NOPORT,
-            np.where(
-                ~corr, _O_WRONG,
-                np.where(ilk, _O_ILK, np.where(dhit, _O_SUCC, _O_DMISS)),
-            ),
-        ),
-    )
-    exp2 = np.where(
-        ev == 0, _O_NONE,
-        np.where(
-            noport, _O_NOPORT,
-            np.where(
-                ra, _O_RA,
-                np.where(
-                    ilk, _O_ILK,
-                    np.where(
-                        ~dhit, _O_DMISS,
-                        np.where((ev & 2) != 0, _O_PART, _O_SUCC),
-                    ),
-                ),
-            ),
-        ),
-    )
-    expO = np.where(
-        rv == 1, exp1, np.where(rv == 2, exp2, _O_NONE)
-    ).astype(np.uint8)
-
-    return dep, bump, expT, expO
-
-
-def _mismatch(ka: KernelArrays, T, O, expT, expO):
-    """Record-indexed mismatch mask of candidate vs expected."""
-    mm = T != expT
-    mm_l = O != expO
-    # mm is record-indexed; fold load outcome mismatches in.
-    lrec = ka.rec_of_load[mm_l]
-    if len(lrec):
-        mm[lrec] = True
-    return mm
-
-
-def _expected(ka: KernelArrays, mc: _Mc, rv, dv, ev, excl, T, O):
-    """Expected (T, O) under the forward equations, given candidate (T, O).
-
-    Returns ``(mismatch_mask, expT, expO)``.  Positions before the first
-    mismatch are exact by induction (every equation only references
-    strictly earlier records), so the first mismatch is the repair
-    point.
-    """
-    _dep, _bump, expT, expO = _forward_quantities(ka, mc, rv, dv, ev, T, O)
-    return _mismatch(ka, T, O, expT, expO), expT, expO
-
-
-# ---------------------------------------------------------------------------
-# Scalar repair stepper
-# ---------------------------------------------------------------------------
-
-def _step_region(pre, ka: KernelArrays, mc: _Mc, rv, dv, ev, excl,
-                 T, O, start: int, limit: int, big: bool = False,
-                 through: int = 0):
-    """Re-simulate records from *start* until the schedule re-syncs.
-
-    Mirrors ``_replay``'s per-record semantics exactly, but reads
-    operand ready times by gathering ``V`` from the (exact-prefix)
-    candidate arrays instead of keeping a register file, and tracks the
-    port window as absolute-cycle charge counts.  Returns
-    ``(stop, delta, stepped)``: *stop* is one past the last repaired
-    record (or -1 when the window budget ran out before re-syncing),
-    *delta* the uniform shift already applied to the suffix beyond
-    *stop*.
-
-    *big* is the caller's hint that the failing span ahead is long
-    (serially-bound stretches found by the fixed-point leader): those
-    go through the list-mode loop, which pays an O(n) setup to make
-    every per-record operation a plain-list index.  Short repair
-    windows keep the numpy-view loop whose setup is O(window).
-
-    *through* suppresses the re-sync early exit before that record
-    index: scattered-mismatch rounds step one contiguous sweep through
-    every failing region instead of paying the per-window entry
-    overhead thousands of times.
-    """
-    if through - start >= _LIST_STEP_MIN and start * 3 <= through:
-        # The failing span covers most of the trace: re-walking the
-        # exact prefix from record 0 with register-file state is
-        # cheaper than window-entry reconstruction plus per-record
-        # producer gathers over the span.
-        return _record_pass(
-            pre, ka, mc, rv, dv, ev, excl, T, O,
-            min(ka.n, start + limit), through,
-        )
-    if big and min(ka.n, start + limit) - start >= _LIST_STEP_MIN:
-        return _step_region_list(
-            pre, ka, mc, rv, dv, ev, excl, T, O, start, limit, through
-        )
-    return _step_region_np(
-        pre, ka, mc, rv, dv, ev, excl, T, O, start, limit, through
-    )
-
-
-def _step_region_np(pre, ka: KernelArrays, mc: _Mc, rv, dv, ev, excl,
-                    T, O, start: int, limit: int, through: int = 0):
-    np = _np
-    records = pre.records
-    n = ka.n
-    rec_of_load = ka.rec_of_load
-    rec_of_store = ka.rec_of_store
-    lword = pre.lword
-    sword = pre.sword
-    lbase = pre.lbase
-    redir_arr = ka.redir
-    p1o, p2o, p3o = ka.p1o, ka.p2o, ka.p3o
-    prod_base_o = ka.prod_base_o
-
-    width = mc.width
-    n_ports = mc.n_ports
-    n_alus = mc.n_alus
-    n_fpus = mc.n_fpus
-    n_brus = mc.n_brus
-    ld_lat = mc.ld_lat
-    ld_hit_lat = mc.ld_hit_lat
-    miss_lat = mc.miss_lat
-
-    sl = ka.lists()
-    lordl = sl.lordl
-    latxl = sl.latxl
-
-    def v_of(off):
-        # ``off`` is a pre-offset producer index (0 = none).
-        if off == 0:
-            return 0
-        j = off - 1
-        lj = lordl[j]
-        if lj < 0:
-            return int(T[j]) + latxl[j]
-        o = O[lj]
-        r = rv[lj]
-        code = dv[lj]
-        if r == 1 and o == _O_SUCC:
-            lat = ld_hit_lat
-        elif r == 2 and o == _O_SUCC:
-            lat = 0
-        elif o == _O_PART:
-            lat = 1
-        else:
-            lat = ld_lat if code & 1 else miss_lat
-        return int(T[j]) + lat
-
-    li = int(np.searchsorted(rec_of_load, start))
-    si = int(np.searchsorted(rec_of_store, start))
-
-    if start:
-        prev_t = int(T[start - 1])
-        prev_end = prev_t + int(redir_arr[start - 1])
-    else:
-        prev_t = -1
-        prev_end = 0
-
-    # Reconstruct the entry window/counters from the exact prefix: every
-    # count the stepper can read only involves cycles >= prev_t - 3.
-    cyc_mem = {}
-    epoch = prev_t
-    iss = alu = fpu = bru = spec = 0
-    bound = prev_t - 3
-    j = start - 1
-    lj = li - 1
-    sj = si - 1
-    while j >= 0 and int(T[j]) >= bound:
-        tj = int(T[j])
-        k = records[j][0]
-        charged = False
-        if k == 1:
-            charged = True
-            sj -= 1
-        elif k == 0:
-            o = O[lj]
-            if not (o == _O_SUCC or o == _O_PART):
-                charged = True
-            if tj == epoch and o >= 2:
-                # Unbumped same-cycle spec dispatch: c0 == T holds iff
-                # the record was not re-arbitrated into this cycle.
-                pe = (
-                    int(T[j - 1]) + int(redir_arr[j - 1]) if j else 0
-                ) + int(ka.pen[j])
-                dep = max(v_of(int(p1o[j])), v_of(int(p2o[j])),
-                          v_of(int(p3o[j])))
-                if max(pe, dep) == tj:
-                    spec += 1
-            lj -= 1
-        if charged:
-            cyc_mem[tj] = cyc_mem.get(tj, 0) + 1
-        if tj == epoch:
-            iss += 1
-            if k == 4:
-                alu += 1
-            elif k == 5:
-                fpu += 1
-            elif k == 2 or k == 3:
-                bru += 1
-        j -= 1
-
-    sq: deque = deque()
-    j = si - 1
-    while j >= 0:
-        ts = int(T[rec_of_store[j]])
-        if ts < prev_t - 3:
-            break
-        sq.appendleft((ts, sword[j]))
-        j -= 1
-
-    cur = prev_end
-    streak = 0
-    prev_delta = None
-    i = start
-    end = min(n, start + limit)
-    while i < end:
-        k, pen, s1, s2, s3, dest, x = records[i]
-        if pen:
-            cur += pen
-        t = v_of(int(p1o[i]))
-        r2 = v_of(int(p2o[i]))
-        if r2 > t:
-            t = r2
-        r3 = v_of(int(p3o[i]))
-        if r3 > t:
-            t = r3
-        if t > cur:
-            cur = t
-        if cur != epoch:
-            epoch = cur
-            iss = alu = fpu = bru = spec = 0
-
-        o = _O_NONE
-        if k == 4:
-            if iss >= width or alu >= n_alus:
-                cur += 1
-                epoch = cur
-                iss = alu = fpu = bru = spec = 0
-            iss += 1
-            alu += 1
-        elif k == 0:
-            code = dv[li]
-            r = rv[li]
-            success = False
-            if r == 1:
-                if code & 2:
-                    if cyc_mem.get(cur - 2, 0) + spec < n_ports:
-                        spec += 1
-                        if code & 4:
-                            c = cur - 1
-                            ilk = False
-                            if sq:
-                                while sq and sq[0][0] + 1 <= c:
-                                    sq.popleft()
-                                w = lword[li]
-                                for _, s_w in sq:
-                                    if s_w == w:
-                                        ilk = True
-                                        break
-                            if ilk:
-                                o = _O_ILK
-                            elif code & 1:
-                                success = True
-                                o = _O_SUCC
-                            else:
-                                o = _O_DMISS
-                        else:
-                            o = _O_WRONG
-                    else:
-                        o = _O_NOPORT
-            elif r == 2:
-                ec = ev[li]
-                if ec:
-                    if cyc_mem.get(cur - 2, 0) + spec < n_ports:
-                        spec += 1
-                        if v_of(int(prod_base_o[li])) > cur - 2:
-                            o = _O_RA
-                        else:
-                            c = cur - 1
-                            ilk = False
-                            if sq:
-                                while sq and sq[0][0] + 1 <= c:
-                                    sq.popleft()
-                                w = lword[li]
-                                for _, s_w in sq:
-                                    if s_w == w:
-                                        ilk = True
-                                        break
-                            if ilk:
-                                o = _O_ILK
-                            elif code & 1:
-                                success = True
-                                o = _O_PART if ec & 2 else _O_SUCC
-                            else:
-                                o = _O_DMISS
-                    else:
-                        o = _O_NOPORT
-            if success:
-                if iss >= width:
-                    cur += 1
-                    epoch = cur
-                    iss = alu = fpu = bru = spec = 0
-                iss += 1
-            else:
-                if iss >= width or cyc_mem.get(cur, 0) >= n_ports:
-                    cur += 1
-                    epoch = cur
-                    iss = alu = fpu = bru = spec = 0
-                iss += 1
-                cyc_mem[cur] = cyc_mem.get(cur, 0) + 1
-        elif k == 2 or k == 3:
-            if iss >= width or bru >= n_brus:
-                cur += 1
-                epoch = cur
-                iss = alu = fpu = bru = spec = 0
-            iss += 1
-            bru += 1
-        elif k == 1:
-            if iss >= width or cyc_mem.get(cur, 0) >= n_ports:
-                cur += 1
-                epoch = cur
-                iss = alu = fpu = bru = spec = 0
-            iss += 1
-            cyc_mem[cur] = cyc_mem.get(cur, 0) + 1
-            sq.append((cur, sword[si]))
-            si += 1
-        elif k == 5:
-            if iss >= width or fpu >= n_fpus:
-                cur += 1
-                epoch = cur
-                iss = alu = fpu = bru = spec = 0
-            iss += 1
-            fpu += 1
-        else:
-            if iss >= width:
-                cur += 1
-                epoch = cur
-                iss = alu = fpu = bru = spec = 0
-            iss += 1
-
-        same_o = True
-        if k == 0:
-            if O[li] != o:
-                O[li] = o
-                same_o = False
-            li += 1
-        delta = cur - int(T[i])
-        T[i] = cur
-        if same_o and delta == prev_delta:
-            streak += 1
-        else:
-            streak = 1
-            prev_delta = delta
-        if len(cyc_mem) > 64:
-            # Amortized purge: scanning the dict every record once it
-            # crosses a small threshold costs more than the stale keys.
-            for ckey in [ck for ck in cyc_mem if ck < cur - 2]:
-                del cyc_mem[ckey]
-
-        if k == 2 or k == 3:
-            if x:
-                cur += x
-                epoch = cur
-                iss = alu = fpu = bru = spec = 0
-
-        i += 1
-        if streak >= _SYNC_RUN and i < n and i >= through:
-            if prev_delta:
-                T[i:] += prev_delta
-            return i, prev_delta or 0, i - start
-
-    if i >= n:
-        return n, 0, i - start
-    return -1, 0, i - start
-
-
-def _step_region_list(pre, ka: KernelArrays, mc: _Mc, rv, dv, ev, excl,
-                      T, O, start: int, limit: int, through: int = 0):
-    """List-mode twin of :func:`_step_region_np` for long spans.
-
-    Semantically identical; the ready-time table ``V`` (``V[off]`` =
-    writeback cycle of pre-offset producer *off*, ``V[0]`` the missing
-    sentinel) and the per-config streams are materialized as plain
-    Python lists up front, so the per-record loop touches no numpy
-    scalars at all.  Results are written back to ``T``/``O`` in one
-    vectorized slice assignment at exit.
-    """
-    np = _np
-    records = pre.records
-    n = ka.n
-    rec_of_load = ka.rec_of_load
-    rec_of_store = ka.rec_of_store
-    lword = pre.lword
-    sword = pre.sword
-    redir_arr = ka.redir
-    sl = ka.lists()
-    p1l, p2l, p3l = sl.p1l, sl.p2l, sl.p3l
-    prodbl = sl.prodbl
-
-    width = mc.width
-    n_ports = mc.n_ports
-    n_alus = mc.n_alus
-    n_fpus = mc.n_fpus
-    n_brus = mc.n_brus
-    ld_lat = mc.ld_lat
-    ld_hit_lat = mc.ld_hit_lat
-    miss_lat = mc.miss_lat
-
-    lat = ka.latx.copy()
-    lat[rec_of_load] = _load_latency(mc, rv, dv, O)
-    V = [0]
-    # Prefix entries are exact (T, O are exact before *start*); entries
-    # at/after *start* are stale seeds overwritten as records step.
-    V.extend((T + lat).tolist())
-    rvl = rv.tolist()
-    dvl = dv.tolist()
-    evl = ev.tolist()
-    Ol = O.tolist()
-    o_noport = _O_NOPORT
-    o_wrong = _O_WRONG
-    o_ilk = _O_ILK
-    o_dmiss = _O_DMISS
-    o_succ = _O_SUCC
-    o_part = _O_PART
-    o_ra = _O_RA
-    sync_run = _SYNC_RUN
-
-    li = int(np.searchsorted(rec_of_load, start))
-    si = int(np.searchsorted(rec_of_store, start))
-    li0 = li
-
-    if start:
-        prev_t = int(T[start - 1])
-        prev_end = prev_t + int(redir_arr[start - 1])
-    else:
-        prev_t = -1
-        prev_end = 0
-
-    cyc_mem = {}
-    epoch = prev_t
-    iss = alu = fpu = bru = spec = 0
-    bound = prev_t - 3
-    j = start - 1
-    lj = li - 1
-    sj = si - 1
-    while j >= 0 and int(T[j]) >= bound:
-        tj = int(T[j])
-        k = records[j][0]
-        charged = False
-        if k == 1:
-            charged = True
-            sj -= 1
-        elif k == 0:
-            o = Ol[lj]
-            if not (o == o_succ or o == o_part):
-                charged = True
-            if tj == epoch and o >= 2:
-                # Unbumped same-cycle spec dispatch: c0 == T holds iff
-                # the record was not re-arbitrated into this cycle.
-                pe = (
-                    int(T[j - 1]) + int(redir_arr[j - 1]) if j else 0
-                ) + int(ka.pen[j])
-                dep = max(V[p1l[j]], V[p2l[j]], V[p3l[j]])
-                if max(pe, dep) == tj:
-                    spec += 1
-            lj -= 1
-        if charged:
-            cyc_mem[tj] = cyc_mem.get(tj, 0) + 1
-        if tj == epoch:
-            iss += 1
-            if k == 4:
-                alu += 1
-            elif k == 5:
-                fpu += 1
-            elif k == 2 or k == 3:
-                bru += 1
-        j -= 1
-
-    sq: deque = deque()
-    j = si - 1
-    while j >= 0:
-        ts = int(T[rec_of_store[j]])
-        if ts < prev_t - 3:
-            break
-        sq.appendleft((ts, sword[j]))
-        j -= 1
-
-    cur = prev_end
-    streak = 0
-    prev_delta = None
-    i = start
-    end = min(n, start + limit)
-    oldTl = T[start:end].tolist()
-    newT: list = []
-    newO: list = []
-    nT_append = newT.append
-    nO_append = newO.append
-    sq_append = sq.append
-
-    def writeback(stop):
-        if newT:
-            T[start:stop] = newT
-        if newO:
-            O[li0:li] = newO
-
-    while i < end:
-        k, pen, s1, s2, s3, dest, x = records[i]
-        if pen:
-            cur += pen
-        t = V[p1l[i]]
-        r2 = V[p2l[i]]
-        if r2 > t:
-            t = r2
-        r3 = V[p3l[i]]
-        if r3 > t:
-            t = r3
-        if t > cur:
-            cur = t
-        if cur != epoch:
-            epoch = cur
-            iss = alu = fpu = bru = spec = 0
-
-        o = 0
-        if k == 4:
-            if iss >= width or alu >= n_alus:
-                cur += 1
-                epoch = cur
-                iss = alu = fpu = bru = spec = 0
-            iss += 1
-            alu += 1
-            V[i + 1] = cur + x
-        elif k == 0:
-            code = dvl[li]
-            r = rvl[li]
-            success = False
-            if r == 1:
-                if code & 2:
-                    if cyc_mem.get(cur - 2, 0) + spec < n_ports:
-                        spec += 1
-                        if code & 4:
-                            c = cur - 1
-                            ilk = False
-                            if sq:
-                                while sq and sq[0][0] + 1 <= c:
-                                    sq.popleft()
-                                w = lword[li]
-                                for _, s_w in sq:
-                                    if s_w == w:
-                                        ilk = True
-                                        break
-                            if ilk:
-                                o = o_ilk
-                            elif code & 1:
-                                success = True
-                                o = o_succ
-                            else:
-                                o = o_dmiss
-                        else:
-                            o = o_wrong
-                    else:
-                        o = o_noport
-            elif r == 2:
-                ec = evl[li]
-                if ec:
-                    if cyc_mem.get(cur - 2, 0) + spec < n_ports:
-                        spec += 1
-                        if V[prodbl[li]] > cur - 2:
-                            o = o_ra
-                        else:
-                            c = cur - 1
-                            ilk = False
-                            if sq:
-                                while sq and sq[0][0] + 1 <= c:
-                                    sq.popleft()
-                                w = lword[li]
-                                for _, s_w in sq:
-                                    if s_w == w:
-                                        ilk = True
-                                        break
-                            if ilk:
-                                o = o_ilk
-                            elif code & 1:
-                                success = True
-                                o = o_part if ec & 2 else o_succ
-                            else:
-                                o = o_dmiss
-                    else:
-                        o = o_noport
-            if success:
-                if iss >= width:
-                    cur += 1
-                    epoch = cur
-                    iss = alu = fpu = bru = spec = 0
-                iss += 1
-            else:
-                if iss >= width or cyc_mem.get(cur, 0) >= n_ports:
-                    cur += 1
-                    epoch = cur
-                    iss = alu = fpu = bru = spec = 0
-                iss += 1
-                cyc_mem[cur] = cyc_mem.get(cur, 0) + 1
-            if r == 1 and o == o_succ:
-                lw = ld_hit_lat
-            elif r == 2 and o == o_succ:
-                lw = 0
-            elif o == o_part:
-                lw = 1
-            else:
-                lw = ld_lat if code & 1 else miss_lat
-            V[i + 1] = cur + lw
-        elif k == 2 or k == 3:
-            if iss >= width or bru >= n_brus:
-                cur += 1
-                epoch = cur
-                iss = alu = fpu = bru = spec = 0
-            iss += 1
-            bru += 1
-            if k == 3:
-                V[i + 1] = cur + 1
-        elif k == 1:
-            if iss >= width or cyc_mem.get(cur, 0) >= n_ports:
-                cur += 1
-                epoch = cur
-                iss = alu = fpu = bru = spec = 0
-            iss += 1
-            cyc_mem[cur] = cyc_mem.get(cur, 0) + 1
-            sq_append((cur, sword[si]))
-            si += 1
-        elif k == 5:
-            if iss >= width or fpu >= n_fpus:
-                cur += 1
-                epoch = cur
-                iss = alu = fpu = bru = spec = 0
-            iss += 1
-            fpu += 1
-            V[i + 1] = cur + x
-        else:
-            if iss >= width:
-                cur += 1
-                epoch = cur
-                iss = alu = fpu = bru = spec = 0
-            iss += 1
-            V[i + 1] = cur + x
-
-        same_o = True
-        if k == 0:
-            if Ol[li] != o:
-                same_o = False
-            nO_append(o)
-            li += 1
-        delta = cur - oldTl[i - start]
-        nT_append(cur)
-        if same_o and delta == prev_delta:
-            streak += 1
-        else:
-            streak = 1
-            prev_delta = delta
-        if len(cyc_mem) > 64:
-            # Amortized purge: scanning the dict every record once it
-            # crosses a small threshold costs more than the stale keys.
-            for ckey in [ck for ck in cyc_mem if ck < cur - 2]:
-                del cyc_mem[ckey]
-
-        if k == 2 or k == 3:
-            if x:
-                cur += x
-                epoch = cur
-                iss = alu = fpu = bru = spec = 0
-
-        i += 1
-        if streak >= sync_run and i < n and i >= through:
-            writeback(i)
-            if prev_delta:
-                T[i:] += prev_delta
-            return i, prev_delta or 0, i - start
-
-    writeback(i)
-    if i >= n:
-        return n, 0, i - start
-    return -1, 0, i - start
-
-
-def _record_pass(pre, ka: KernelArrays, mc: _Mc, rv, dv, ev, excl,
-                 T, O, end: int, through: int):
-    """Whole-trace recording walk of the forward equations.
-
-    A third stepping mode for sweeps whose failing span covers most of
-    the trace: start at record 0, so no entry state has to be
-    reconstructed and operand readiness lives in a 130-slot register
-    file read straight off the record tuples — the same state layout
-    as the scalar replay, which drops the producer-link gathers and
-    the absolute-cycle port dict (only ``cur``/``cur-1``/``cur-2`` are
-    ever probed, so three shifting scalars cover the window).  The
-    resync early-exit stays suppressed before *through* and the streak
-    bookkeeping is skipped entirely until then, which makes the
-    pre-*through* loop body the cheapest per-record walk the kernel
-    has.  Same return contract as :func:`_step_region`.
-    """
-    records = pre.records
-    n = ka.n
-    lword = pre.lword
-    sword = pre.sword
-    lbase = pre.lbase
-
-    width = mc.width
-    n_ports = mc.n_ports
-    n_alus = mc.n_alus
-    n_fpus = mc.n_fpus
-    n_brus = mc.n_brus
-    ld_lat = mc.ld_lat
-    ld_hit_lat = mc.ld_hit_lat
-    miss_lat = mc.miss_lat
-
-    rvl = rv.tolist()
-    dvl = dv.tolist()
-    evl = ev.tolist()
-    Ol = O.tolist()
-    oldTl = T.tolist()
-
-    o_noport = _O_NOPORT
-    o_wrong = _O_WRONG
-    o_ilk = _O_ILK
-    o_dmiss = _O_DMISS
-    o_succ = _O_SUCC
-    o_part = _O_PART
-    o_ra = _O_RA
-    sync_run = _SYNC_RUN
-
-    rr = [0] * 130
-    sq: deque = deque()
-    sq_append = sq.append
-    sq_popleft = sq.popleft
-
-    cur = 0
-    epoch = -1
-    iss = alu = fpu = bru = spec = 0
-    # Normal-access port charges at issue cycles cur / cur-1 / cur-2;
-    # shifted on every clock advance (older cycles are never probed).
-    cm0 = cm1 = cm2 = 0
-    li = si = 0
-    streak = 0
-    prev_delta = None
-    newT: list = []
-    newO: list = []
-    nT_append = newT.append
-    nO_append = newO.append
-    i = 0
-    it = records if end >= n else records[:end]
-
-    for k, pen, s1, s2, s3, dest, x in it:
-        if pen:
-            cur += pen
-        t = rr[s1]
-        r2 = rr[s2]
-        if r2 > t:
-            t = r2
-        r3 = rr[s3]
-        if r3 > t:
-            t = r3
-        if t > cur:
-            cur = t
-        if cur != epoch:
-            d = cur - epoch
-            if d == 1:
-                cm2 = cm1
-                cm1 = cm0
-            elif d == 2:
-                cm2 = cm0
-                cm1 = 0
-            else:
-                cm2 = 0
-                cm1 = 0
-            cm0 = 0
-            epoch = cur
-            iss = alu = fpu = bru = spec = 0
-
-        o = 0
-        if k == 4:
-            if iss >= width or alu >= n_alus:
-                cur += 1
-                cm2 = cm1
-                cm1 = cm0
-                cm0 = 0
-                epoch = cur
-                iss = alu = fpu = bru = spec = 0
-            iss += 1
-            alu += 1
-            rr[dest] = cur + x
-        elif k == 0:
-            code = dvl[li]
-            r = rvl[li]
-            success = False
-            if r == 1:
-                if code & 2:
-                    if cm2 + spec < n_ports:
-                        spec += 1
-                        if code & 4:
-                            c = cur - 1
-                            ilk = False
-                            if sq:
-                                while sq and sq[0][0] + 1 <= c:
-                                    sq_popleft()
-                                w = lword[li]
-                                for _, s_w in sq:
-                                    if s_w == w:
-                                        ilk = True
-                                        break
-                            if ilk:
-                                o = o_ilk
-                            elif code & 1:
-                                success = True
-                                o = o_succ
-                            else:
-                                o = o_dmiss
-                        else:
-                            o = o_wrong
-                    else:
-                        o = o_noport
-            elif r == 2:
-                ec = evl[li]
-                if ec:
-                    if cm2 + spec < n_ports:
-                        spec += 1
-                        if rr[lbase[li]] > cur - 2:
-                            o = o_ra
-                        else:
-                            c = cur - 1
-                            ilk = False
-                            if sq:
-                                while sq and sq[0][0] + 1 <= c:
-                                    sq_popleft()
-                                w = lword[li]
-                                for _, s_w in sq:
-                                    if s_w == w:
-                                        ilk = True
-                                        break
-                            if ilk:
-                                o = o_ilk
-                            elif code & 1:
-                                success = True
-                                o = o_part if ec & 2 else o_succ
-                            else:
-                                o = o_dmiss
-                    else:
-                        o = o_noport
-            if success:
-                if iss >= width:
-                    cur += 1
-                    cm2 = cm1
-                    cm1 = cm0
-                    cm0 = 0
-                    epoch = cur
-                    iss = alu = fpu = bru = spec = 0
-                iss += 1
-            else:
-                if iss >= width or cm0 >= n_ports:
-                    cur += 1
-                    cm2 = cm1
-                    cm1 = cm0
-                    cm0 = 0
-                    epoch = cur
-                    iss = alu = fpu = bru = spec = 0
-                iss += 1
-                cm0 += 1
-            if r == 1 and o == o_succ:
-                lw = ld_hit_lat
-            elif r == 2 and o == o_succ:
-                lw = 0
-            elif o == o_part:
-                lw = 1
-            else:
-                lw = ld_lat if code & 1 else miss_lat
-            rr[dest] = cur + lw
-        elif k == 2 or k == 3:
-            if iss >= width or bru >= n_brus:
-                cur += 1
-                cm2 = cm1
-                cm1 = cm0
-                cm0 = 0
-                epoch = cur
-                iss = alu = fpu = bru = spec = 0
-            iss += 1
-            bru += 1
-            if k == 3:
-                rr[63] = cur + 1
-        elif k == 1:
-            if iss >= width or cm0 >= n_ports:
-                cur += 1
-                cm2 = cm1
-                cm1 = cm0
-                cm0 = 0
-                epoch = cur
-                iss = alu = fpu = bru = spec = 0
-            iss += 1
-            cm0 += 1
-            sq_append((cur, sword[si]))
-            si += 1
-        elif k == 5:
-            if iss >= width or fpu >= n_fpus:
-                cur += 1
-                cm2 = cm1
-                cm1 = cm0
-                cm0 = 0
-                epoch = cur
-                iss = alu = fpu = bru = spec = 0
-            iss += 1
-            fpu += 1
-            rr[dest] = cur + x
-        else:
-            if iss >= width:
-                cur += 1
-                cm2 = cm1
-                cm1 = cm0
-                cm0 = 0
-                epoch = cur
-                iss = alu = fpu = bru = spec = 0
-            iss += 1
-            rr[dest] = cur + x
-
-        if k == 0:
-            nO_append(o)
-        nT_append(cur)
-        i += 1
-        if i >= through:
-            if k == 0:
-                li += 1
-                same_o = newO[-1] == Ol[li - 1]
-            else:
-                same_o = True
-            delta = cur - oldTl[i - 1]
-            if same_o and delta == prev_delta:
-                streak += 1
-            else:
-                streak = 1
-                prev_delta = delta
-            if k == 2 or k == 3:
-                if x:
-                    cur += x
-                    if x == 1:
-                        cm2 = cm1
-                        cm1 = cm0
-                    elif x == 2:
-                        cm2 = cm0
-                        cm1 = 0
-                    else:
-                        cm2 = 0
-                        cm1 = 0
-                    cm0 = 0
-                    epoch = cur
-                    iss = alu = fpu = bru = spec = 0
-            if streak >= sync_run and i < n:
-                T[:i] = newT
-                if newO:
-                    O[:li] = newO
-                if prev_delta:
-                    T[i:] += prev_delta
-                return i, prev_delta or 0, i
-        else:
-            if k == 0:
-                li += 1
-            if k == 2 or k == 3:
-                if x:
-                    cur += x
-                    if x == 1:
-                        cm2 = cm1
-                        cm1 = cm0
-                    elif x == 2:
-                        cm2 = cm0
-                        cm1 = 0
-                    else:
-                        cm2 = 0
-                        cm1 = 0
-                    cm0 = 0
-                    epoch = cur
-                    iss = alu = fpu = bru = spec = 0
-
-    T[:i] = newT
-    if newO:
-        O[:li] = newO
-    if i >= n:
-        return n, 0, i
-    return -1, 0, i
-
-
-def _scatter_span(pos):
-    """One-sweep (start, through) for a scattered mismatch round.
-
-    Returns None when the round's failing positions form few regions
-    (the per-window path with its batched-repair memo is better) or
-    span too little to amortize the list-mode setup.
-    """
-    first = int(pos[0])
-    last = int(pos[-1])
-    if last - first < _LIST_STEP_MIN:
-        return None
-    if len(pos) < _LIST_STEP_MIN:
-        # Sparse enough that region count decides; a dense span (one
-        # huge region) always sweeps — stepping it window-by-window
-        # would re-pay the entry reconstruction at every re-sync gap.
-        regions = 1 + int(_np.count_nonzero(_np.diff(pos) > _REGION_GAP))
-        if regions < _SCATTER_REGIONS:
-            return None
-    return first, last + 1
-
-
-def _repair_window(pre, ka: KernelArrays, mc: _Mc, rv, dv, ev, excl,
-                   T, O, start: int, limit: int, st, no_memo,
-                   big: bool = False, through: int = 0):
-    """Repair the window at *start*: memo apply, or step and memoize.
-
-    Returns ``(stop, stepped, from_memo)`` with *stop*/*stepped* as in
-    :func:`_step_region` (*stop* = -1 on budget exhaustion).  A memo
-    hit applies the recorded rebased segment plus suffix delta and
-    charges nothing against the step budget; a miss runs the scalar
-    stepper and registers the result under the window's pre-repair
-    signature for the rest of the sweep.  Starts in *no_memo* (a prior
-    application at that start failed verification — signature collision
-    on unsigged far-back producers) always step scalar.
-    """
-    np = _np
-    memo = st.repairs if st is not None else None
-    if through > start:
-        # Contiguous sweep through a scattered-mismatch span: far too
-        # wide to memoize, and a (small-window) memo hit at *start*
-        # would not cover it, so bypass the memo machinery entirely.
-        stop, delta, stepped = _step_region(
-            pre, ka, mc, rv, dv, ev, excl, T, O, start, limit,
-            big=big, through=through,
-        )
-        return stop, stepped, False
-    if memo is not None and start not in no_memo:
-        hit = memo.lookup(ka, mc, rv, dv, ev, T, O, start)
-        if hit is not None:
-            extent, relT_new, newO, delta = hit
-            stop = start + extent
-            base = int(T[start - 1])
-            l0 = int(np.searchsorted(ka.rec_of_load, start))
-            T[start:stop] = relT_new + base
-            O[l0 : l0 + len(newO)] = newO
-            if delta:
-                T[stop:] += delta
-            return stop, 0, True
-
-    e0 = le0 = 0
-    preT = preO = None
-    if memo is not None and start > 0:
-        e0 = max(0, start - _ENTRY_LOOKBACK)
-        hi = min(ka.n, start + _MEMO_MAX_EXTENT)
-        le0 = int(np.searchsorted(ka.rec_of_load, e0))
-        lhi = int(np.searchsorted(ka.rec_of_load, hi))
-        preT = T[e0:hi].copy()
-        preO = O[le0:lhi].copy()
-    stop, delta, stepped = _step_region(
-        pre, ka, mc, rv, dv, ev, excl, T, O, start, limit, big=big
-    )
-    if (
-        preT is not None
-        and stop > start
-        and stop - start <= _MEMO_MAX_EXTENT
-    ):
-        extent = stop - start
-        sig = _window_sig(ka, mc, rv, dv, ev, preT, preO, start, extent,
-                          t_off=e0, l_off=le0)
-        if sig is not None:
-            base = int(T[start - 1])
-            l0 = int(np.searchsorted(ka.rec_of_load, start))
-            l1 = int(np.searchsorted(ka.rec_of_load, stop))
-            memo.store(start, extent, sig, T[start:stop] - base,
-                       O[l0:l1].copy(), delta)
-    return stop, stepped, False
-
-
-# ---------------------------------------------------------------------------
-# Fixed-point leader scheduling
-# ---------------------------------------------------------------------------
-
-def _leader_schedule(pre, ka: KernelArrays, mc: _Mc, rv, dv, ev, excl,
-                     info, st=None, ctr=None):
-    """Schedule a leader config by vectorized fixed-point iteration.
-
-    Seeds the issue cycles from the dependence-free front-end floor
-    (``cumsum(pen + redirect_prev)``) and per-load outcomes from the
-    optimistic all-ports-free / no-interlock reading of the streams,
-    then iterates {evaluate forward equations, re-solve the issue chain
-    with a max-plus prefix scan}.  The chain recurrence
-    ``T[i] = max(T[i-1] + a[i], g[i])`` with per-round constants
-    ``a = pen + redirect_prev + bump`` and ``g = dep + bump`` has the
-    closed form ``T = A + max(cummax(g - A), 0)`` over ``A = cumsum(a)``
-    — each round closes the whole issue chain, so only the dependence /
-    bump / outcome feedback lags.  Serially-bound stretches (pointer
-    chases advance one dependence hop per round) are detected by a
-    stalled mismatch count and handed to the scalar window stepper via
-    :func:`_repair_window`, then iteration resumes.
-
-    Acceptance is a zero-mismatch evaluation pass, so the result **is**
-    the exact replay (the recurrence has a unique fixed point); returns
-    ``(T, O)`` on acceptance or None when the round/step budget runs
-    out (caller falls back to the scalar recording replay).
-    """
-    np = _np
-    n = ka.n
-
-    rp = np.zeros(n, dtype=np.int64)
-    rp[1:] = ka.redir[:-1]
-    base_inc = ka.pen + rp
-    T = np.cumsum(base_inc)
-
-    dhit = (dv & 1) != 0
-    func = (dv & 2) != 0
-    corr = (dv & 4) != 0
-    o1 = np.where(
-        ~func, _O_NONE,
-        np.where(~corr, _O_WRONG, np.where(dhit, _O_SUCC, _O_DMISS)),
-    )
-    o2 = np.where(
-        ev == 0, _O_NONE,
-        np.where(
-            ~dhit, _O_DMISS,
-            np.where((ev & 2) != 0, _O_PART, _O_SUCC),
-        ),
-    )
-    O = np.where(rv == 1, o1, np.where(rv == 2, o2, _O_NONE)).astype(
-        np.uint8
-    )
-
-    # 2n, not n: a whole-trace recording pass may re-walk the exact
-    # prefix (cheaper than entry reconstruction), so one sweep plus a
-    # residual repair can legitimately step more than n records.
-    step_budget = 2 * n
-    stepped_total = 0
-    batched = 0
-    best = None
-    stalled = 0
-    no_memo: set = set()
-    applied: list = []
-    rounds = 0
-    converged = False
-    while rounds < _FP_MAX_ROUNDS:
-        rounds += 1
-        dep, bump, expT, expO = _forward_quantities(
-            ka, mc, rv, dv, ev, T, O
-        )
-        mm = _mismatch(ka, T, O, expT, expO)
-        pos = np.nonzero(mm)[0]
-        cnt = len(pos)
-        if cnt == 0:
-            converged = True
-            break
-        first = int(pos[0])
-        for a_start, a_stop in applied:
-            if a_start <= first < a_stop:
-                # A memo application that still fails: signature
-                # collision on unsigged far-back producers.  Blacklist
-                # and let the stepper redo it scalar.
-                no_memo.add(a_start)
-                if st is not None:
-                    st.repairs.drop(a_start)
-                break
-        if best is None or cnt < best - (best >> 3):
-            # Progress means a geometric drop (>= 1/8 per round): a
-            # pointer chase resolves only a constant number of records
-            # per scan round, which shrinks the count linearly and must
-            # trigger stepping, not burn the round budget.
-            best = cnt
-            stalled = 0
-        else:
-            stalled += 1
-        if stalled >= _FP_STALL or cnt >= n >> 2:
-            # Serially-bound: step every currently-failing region
-            # scalar (exact-prefix induction makes the first mismatch a
-            # sound entry point), then resume vector rounds.  A round
-            # that leaves a quarter of the trace failing skips the
-            # stall countdown: width-packing feedback that dense never
-            # closes under the prefix scan, and each burned round costs
-            # a full O(n) evaluation pass.
-            sweep = _scatter_span(pos)
-            if sweep is not None:
-                s_start, s_through = sweep
-                stop, stepped, _ = _repair_window(
-                    pre, ka, mc, rv, dv, ev, excl, T, O, s_start,
-                    step_budget - stepped_total, st, no_memo,
-                    big=True, through=s_through,
-                )
-                stepped_total += stepped
-                if stop < 0 or stepped_total > step_budget:
-                    break
-                best = None
-                stalled = 0
-                continue
-            covered = -1
-            fail = False
-            for idx, p in enumerate(pos):
-                p = int(p)
-                if p <= covered:
-                    continue
-                if p <= covered + _REGION_GAP and covered >= 0:
-                    start = covered + 1
-                else:
-                    start = p
-                stop, stepped, from_memo = _repair_window(
-                    pre, ka, mc, rv, dv, ev, excl, T, O, start,
-                    step_budget - stepped_total, st, no_memo,
-                    big=cnt - idx >= _LIST_STEP_MIN,
-                )
-                if from_memo:
-                    batched += 1
-                    applied.append((start, stop))
-                stepped_total += stepped
-                if stop < 0 or stepped_total > step_budget:
-                    fail = True
-                    break
-                covered = stop - 1
-            if fail:
-                break
-            best = None
-            stalled = 0
-            continue
-        O = expO
-        a = base_inc + bump
-        A = np.cumsum(a)
-        g = dep + bump - A
-        np.maximum.accumulate(g, out=g)
-        np.maximum(g, 0, out=g)
-        T = A + g
-
-    info["fixed_point_rounds"] = rounds
-    info["stepped"] = stepped_total
-    info["batched_windows"] = batched
-    if ctr is not None:
-        ctr.bump("fixed_point_rounds", rounds)
-        if batched:
-            ctr.bump("batched_windows", batched)
-    if converged:
-        return T, O
-    return None
-
-
-# ---------------------------------------------------------------------------
-# Recording scalar replay (leader path)
-# ---------------------------------------------------------------------------
-
-def _replay_recording(pre, cfg, route, dcodes, dtotals, ecodes,
-                      excluded, diverged):
-    """``precompute._replay`` with per-record schedule recording.
-
-    Identical semantics and stats (parity-gated); additionally returns
-    the issue-cycle array ``T`` and per-load outcome codes ``O`` that
-    seed the donor registry.
-    """
-    from repro.sim.precompute import _assemble_stats
-
-    records = pre.records
-    lword = pre.lword
-    lbase = pre.lbase
-    sword = pre.sword
-    n = pre.n
-
-    width = cfg.issue_width
-    n_ports = cfg.mem_ports
-    n_alus = cfg.int_alus
-    n_fpus = cfg.fp_alus
-    n_brus = cfg.branch_units
-    ld_lat, ld_hit_lat, miss_lat = cfg.load_latencies()
-
-    T_rec = array("q", bytes(8 * n))
-    O_rec = bytearray(pre.n_loads)
-
-    rr = [0] * 130
-    cur = 0
-    iss = alu = fpu = bru = 0
-    pp = pm = pc = 0
-
-    spec_any = 1 in route or 2 in route
-    sq: deque = deque()
-    sq_append = sq.append
-    sq_popleft = sq.popleft
-
-    li = 0
-    si = 0
-    pred_disp = pred_succ = pred_wrong = 0
-    calc_disp = calc_succ = calc_part = 0
-    sp_noport = sp_interlock = sp_dmiss = 0
-    ra_interlock = 0
-
-    i = -1
-    for k, pen, s1, s2, s3, dest, x in records:
-        i += 1
-        if pen:
-            if pen == 1:
-                pp = pm
-                pm = pc
-            elif pen == 2:
-                pp = pc
-                pm = 0
-            else:
-                pp = 0
-                pm = 0
-            pc = 0
-            iss = alu = fpu = bru = 0
-            cur += pen
-
-        t = rr[s1]
-        r2 = rr[s2]
-        if r2 > t:
-            t = r2
-        r3 = rr[s3]
-        if r3 > t:
-            t = r3
-        if t > cur:
-            d = t - cur
-            if d == 1:
-                pp = pm
-                pm = pc
-            elif d == 2:
-                pp = pc
-                pm = 0
-            else:
-                pp = 0
-                pm = 0
-            pc = 0
-            iss = alu = fpu = bru = 0
-            cur = t
-
-        if k == 4:
-            if iss >= width or alu >= n_alus:
-                cur += 1
-                pp = pm
-                pm = pc
-                pc = 0
-                iss = alu = fpu = bru = 0
-            iss += 1
-            alu += 1
-            rr[dest] = cur + x
-
-        elif k == 0:
-            code = dcodes[li]
-            r = route[li]
-            if r == 0:
-                if iss >= width or pc >= n_ports:
-                    cur += 1
-                    pp = pm
-                    pm = pc
-                    pc = 0
-                    iss = alu = fpu = bru = 0
-                iss += 1
-                pc += 1
-                rr[dest] = cur + (ld_lat if code else miss_lat)
-            elif r == 1:
-                success = False
-                o = _O_NONE
-                if code & 2:
-                    if pp < n_ports:
-                        pp += 1
-                        pred_disp += 1
-                        if code & 4:
-                            c = cur - 1
-                            ilk = False
-                            if sq:
-                                while sq and sq[0][0] + 1 <= c:
-                                    sq_popleft()
-                                w = lword[li]
-                                for _, s_w in sq:
-                                    if s_w == w:
-                                        ilk = True
-                                        break
-                            if ilk:
-                                sp_interlock += 1
-                                o = _O_ILK
-                            elif code & 1:
-                                success = True
-                                pred_succ += 1
-                                o = _O_SUCC
-                            else:
-                                sp_dmiss += 1
-                                o = _O_DMISS
-                        else:
-                            if li in excluded:
-                                diverged.append(li)
-                            pred_wrong += 1
-                            o = _O_WRONG
-                    else:
-                        if not code & 4 and li not in excluded:
-                            diverged.append(li)
-                        sp_noport += 1
-                        o = _O_NOPORT
-                O_rec[li] = o
-                if success:
-                    if iss >= width:
-                        cur += 1
-                        pp = pm
-                        pm = pc
-                        pc = 0
-                        iss = alu = fpu = bru = 0
-                    iss += 1
-                    rr[dest] = cur + ld_hit_lat
-                else:
-                    if iss >= width or pc >= n_ports:
-                        cur += 1
-                        pp = pm
-                        pm = pc
-                        pc = 0
-                        iss = alu = fpu = bru = 0
-                    iss += 1
-                    pc += 1
-                    rr[dest] = cur + (ld_lat if code & 1 else miss_lat)
-            else:
-                success = False
-                lat = 0
-                o = _O_NONE
-                ec = ecodes[li]
-                if ec:
-                    if pp < n_ports:
-                        pp += 1
-                        calc_disp += 1
-                        if rr[lbase[li]] > cur - 2:
-                            ra_interlock += 1
-                            o = _O_RA
-                        else:
-                            c = cur - 1
-                            ilk = False
-                            if sq:
-                                while sq and sq[0][0] + 1 <= c:
-                                    sq_popleft()
-                                w = lword[li]
-                                for _, s_w in sq:
-                                    if s_w == w:
-                                        ilk = True
-                                        break
-                            if ilk:
-                                sp_interlock += 1
-                                o = _O_ILK
-                            elif code & 1:
-                                success = True
-                                calc_succ += 1
-                                o = _O_SUCC
-                                if ec & 2:
-                                    calc_part += 1
-                                    lat = 1
-                                    o = _O_PART
-                            else:
-                                sp_dmiss += 1
-                                o = _O_DMISS
-                    else:
-                        sp_noport += 1
-                        o = _O_NOPORT
-                O_rec[li] = o
-                if success:
-                    if iss >= width:
-                        cur += 1
-                        pp = pm
-                        pm = pc
-                        pc = 0
-                        iss = alu = fpu = bru = 0
-                    iss += 1
-                    rr[dest] = cur + lat
-                else:
-                    if iss >= width or pc >= n_ports:
-                        cur += 1
-                        pp = pm
-                        pm = pc
-                        pc = 0
-                        iss = alu = fpu = bru = 0
-                    iss += 1
-                    pc += 1
-                    rr[dest] = cur + (ld_lat if code & 1 else miss_lat)
-            li += 1
-
-        elif k == 2 or k == 3:
-            if iss >= width or bru >= n_brus:
-                cur += 1
-                pp = pm
-                pm = pc
-                pc = 0
-                iss = alu = fpu = bru = 0
-            iss += 1
-            bru += 1
-            if k == 3:
-                rr[63] = cur + 1
-            T_rec[i] = cur
-            if x:
-                if x == 1:
-                    pp = pm
-                    pm = pc
-                elif x == 2:
-                    pp = pc
-                    pm = 0
-                else:
-                    pp = 0
-                    pm = 0
-                pc = 0
-                iss = alu = fpu = bru = 0
-                cur += x
-            continue
-
-        elif k == 1:
-            if iss >= width or pc >= n_ports:
-                cur += 1
-                pp = pm
-                pm = pc
-                pc = 0
-                iss = alu = fpu = bru = 0
-            iss += 1
-            pc += 1
-            if spec_any:
-                sq_append((cur, sword[si]))
-                if len(sq) > 32:
-                    c = cur - 1
-                    while sq[0][0] + 1 <= c:
-                        sq_popleft()
-            si += 1
-
-        elif k == 5:
-            if iss >= width or fpu >= n_fpus:
-                cur += 1
-                pp = pm
-                pm = pc
-                pc = 0
-                iss = alu = fpu = bru = 0
-            iss += 1
-            fpu += 1
-            rr[dest] = cur + x
-
-        else:
-            if iss >= width:
-                cur += 1
-                pp = pm
-                pm = pc
-                pc = 0
-                iss = alu = fpu = bru = 0
-            iss += 1
-            rr[dest] = cur + x
-
-        T_rec[i] = cur
-
-    stats = _assemble_stats(
-        pre, route, dtotals, cur,
-        pred_disp, pred_succ, pred_wrong,
-        calc_disp, calc_succ, calc_part,
-        sp_noport, sp_interlock, sp_dmiss,
-    )
-    T = _np.frombuffer(T_rec, dtype=_np.int64).copy()
-    O = _np.frombuffer(bytes(O_rec), dtype=_np.uint8).copy()
-    return stats, ra_interlock, T, O
-
-
-# ---------------------------------------------------------------------------
-# Stats assembly from a verified schedule
-# ---------------------------------------------------------------------------
-
-def _stats_from_schedule(pre, ka, route, rv, dtotals, T, O):
-    from repro.sim.precompute import _assemble_stats
-
-    np = _np
-    # One joint histogram over (route, outcome) replaces a dozen
-    # full-array mask passes: 8 outcome codes x 3 route values.  The
-    # joint code maxes out at (2 << 3) + 7 = 23, so the add stays in
-    # uint8 with no widening pass.
-    h = np.bincount(O + (rv << 3), minlength=24)
-    o_tot = h[:8] + h[8:16] + h[16:24]
-    r1_disp = int(h[8 + 2 : 16].sum())
-    r2_disp = int(h[16 + 2 : 24].sum())
-    stats = _assemble_stats(
-        pre, route, dtotals, int(T[-1] + ka.redir[-1]),
-        r1_disp, int(h[8 + _O_SUCC]),
-        int(o_tot[_O_WRONG]),
-        r2_disp,
-        int(h[16 + _O_SUCC] + h[16 + _O_PART]),
-        int(o_tot[_O_PART]),
-        int(o_tot[_O_NOPORT]), int(o_tot[_O_ILK]),
-        int(o_tot[_O_DMISS]),
-    )
-    return stats, int(o_tot[_O_RA])
-
-
-# ---------------------------------------------------------------------------
-# Entry point
-# ---------------------------------------------------------------------------
-
-def replay(pre, cfg, route, dcodes, dtotals, ecodes, excluded,
-           diverged, info, counters=None):
-    """Replay one config's streams on the kernel path.
-
-    Returns ``(stats, ra_interlock)``, always exact: donor-derived and
-    fixed-point schedules are only used after zero-mismatch
-    verification; otherwise the recording scalar replay runs.  Every
-    path registers its schedule as a donor.  Fills *diverged* and
-    *info* (obs fields) like the scalar path.  *counters* is the
-    sweep's :class:`PathCounters` (a fresh one mirroring into the
-    aggregate when not supplied).
-    """
-    ctr = counters if counters is not None else new_counters()
-    st = _state(pre)
-    ka = st.ensure_arrays(pre)
-    info["chunks"] = ka.n_chunks
-    key = (_predictor_key(cfg.earlygen), route, dcodes, ecodes, excluded)
-    mc = _Mc(cfg)
-    nl = ka.nl
-    rv = _np.frombuffer(route, dtype=_np.uint8)
-    dv = _np.frombuffer(dcodes, dtype=_np.uint8)
-    ev = _ecview(ecodes, nl)
-    excl = _np.zeros(nl, dtype=bool)
-    if excluded:
-        excl[list(excluded)] = True
-
-    donor = st.pick_donor(key, nl)
-    if donor is not None:
-        T = donor.T.copy()
-        O = donor.O.copy()
-        t0 = perf_counter()
-        ok = _verify_repair(pre, ka, mc, rv, dv, ev, excl, T, O, info,
-                            st=st, ctr=ctr)
-        ctr.bump("repair_s", perf_counter() - t0)
-        if ok:
-            st.register(key, T, O, nl)
-            _collect_divergence(rv, dv, excl, O, diverged)
-            ctr.bump("followers")
-            info["path"] = "kernel-follower"
-            return _stats_from_schedule(pre, ka, route, rv, dtotals, T, O)
-        info["repair_fallback"] = True
-
-    t0 = perf_counter()
-    sched = _leader_schedule(pre, ka, mc, rv, dv, ev, excl, info,
-                             st=st, ctr=ctr)
-    ctr.bump("leader_s", perf_counter() - t0)
-    if sched is not None:
-        T, O = sched
-        st.register(key, T, O, nl)
-        _collect_divergence(rv, dv, excl, O, diverged)
-        ctr.bump("leaders")
-        info["path"] = "kernel-leader"
-        return _stats_from_schedule(pre, ka, route, rv, dtotals, T, O)
-
-    stats, ra, T, O = _replay_recording(
-        pre, cfg, route, dcodes, dtotals, ecodes, excluded, diverged
-    )
-    st.register(key, T, O, nl)
-    ctr.bump("fallbacks")
-    info["path"] = "kernel-fallback"
-    return stats, ra
-
-
-def _collect_divergence(rv, dv, excl, O, diverged):
-    wrong_addr = (rv == 1) & ((dv & 2) != 0) & ((dv & 4) == 0)
-    bad = wrong_addr & (
-        ((O == _O_WRONG) & excl) | ((O == _O_NOPORT) & ~excl)
-    )
-    if bad.any():
-        diverged.extend(int(x) for x in _np.nonzero(bad)[0])
-
-
-def _verify_repair(pre, ka, mc, rv, dv, ev, excl, T, O, info,
-                   st=None, ctr=None) -> bool:
-    """Verify candidate (T, O); repair failing positions in place.
-
-    True only when a verification pass reports zero mismatches — the
-    accepted schedule satisfies every forward equation and therefore
-    equals the exact scalar replay.  Failing windows go through
-    :func:`_repair_window`, so a window already stepped by an earlier
-    config of the sweep is applied from the batched-repair memo instead
-    of re-entering the scalar stepper.
-    """
-    np = _np
-    n = ka.n
-    # Generous on purpose: abandoning a follower mid-repair only to
-    # redo the same stepping inside a fresh leader schedule is pure
-    # waste, so the budget matches the leader's (a whole-trace
-    # recording pass plus residual repair).
-    step_budget = 2 * n
-    rounds = 0
-    stepped_total = 0
-    repairs = 0
-    batched = 0
-    no_memo: set = set()
-    applied: list = []
-    ok = False
-    done = False
-    while rounds < _MAX_ROUNDS and not done:
-        rounds += 1
-        mm, _expT, _expO = _expected(ka, mc, rv, dv, ev, excl, T, O)
-        pos = np.nonzero(mm)[0]
-        if not len(pos):
-            info["verify_rounds"] = rounds
-            info["repaired"] = repairs
-            ok = stepped_total <= step_budget
-            break
-        first = int(pos[0])
-        for a_start, a_stop in applied:
-            if a_start <= first < a_stop:
-                # A memo application that still fails: signature
-                # collision on unsigged far-back producers.  Blacklist
-                # and let the stepper redo it scalar.
-                no_memo.add(a_start)
-                if st is not None:
-                    st.repairs.drop(a_start)
-                break
-        sweep = _scatter_span(pos)
-        if sweep is not None:
-            s_start, s_through = sweep
-            stop, stepped, _ = _repair_window(
-                pre, ka, mc, rv, dv, ev, excl, T, O, s_start,
-                step_budget - stepped_total, st, no_memo,
-                big=True, through=s_through,
-            )
-            stepped_total += stepped
-            repairs += 1
-            if stop < 0 or stepped_total > step_budget:
-                done = True
-            continue
-        covered = -1
-        for idx, p in enumerate(pos):
-            p = int(p)
-            if p <= covered:
-                continue
-            if p <= covered + _REGION_GAP and covered >= 0:
-                start = covered + 1
-            else:
-                start = p
-            # A delta-shift from an earlier region leaves later mismatch
-            # positions valid as markers (indices don't move); stepping
-            # them re-syncs against the shifted suffix, so keep going
-            # rather than paying a full verify pass per region.
-            stop, stepped, from_memo = _repair_window(
-                pre, ka, mc, rv, dv, ev, excl, T, O, start,
-                step_budget - stepped_total, st, no_memo,
-                big=len(pos) - idx >= _LIST_STEP_MIN,
-            )
-            if from_memo:
-                batched += 1
-                applied.append((start, stop))
-            stepped_total += stepped
-            repairs += 1
-            if stop < 0 or stepped_total > step_budget:
-                done = True
-                break
-            covered = stop - 1
-    info["stepped"] = stepped_total
-    info["batched_windows"] = batched
-    if ctr is not None and batched:
-        ctr.bump("batched_windows", batched)
-    return ok
