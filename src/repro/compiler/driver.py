@@ -21,12 +21,16 @@ invariant raises :class:`~repro.errors.IRVerificationError` naming that
 pass.  ``post_pass_hook`` is a test seam (used by the harness fault
 injector) called as ``hook(pass_name, fir)`` after each per-function
 pass, *before* verification — corrupting the IR there must be caught.
+
+Per-function passes are scheduled change-driven (:class:`_PassManager`),
+with output identical to running every pass every time.  A pass's first
+call on a function always runs, so the hook sees every pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, Optional, Set
 
 from repro import obs
 from repro.compiler.classify import (
@@ -133,7 +137,7 @@ def _run_pass(pass_fn, fir: FuncIR, options: CompileOptions) -> bool:
             verify_func(fir.func, pass_name=name)
         after_i, after_l, after_b = _func_ir_counts(fir)
         span.set_counters(
-            changed=int(bool(changed)),
+            changed=int(bool(changed)), skipped=0,
             instructions_before=before_i, instructions_after=after_i,
             loads_before=before_l, loads_after=after_l,
             blocks_before=before_b, blocks_after=after_b,
@@ -141,14 +145,51 @@ def _run_pass(pass_fn, fir: FuncIR, options: CompileOptions) -> bool:
     return bool(changed)
 
 
-def _scalar_round(fir, options: CompileOptions) -> bool:
+class _PassManager:
+    """Change-driven scheduling of the per-function passes of one compile.
+
+    Per function it tracks the *clean* passes: those whose last run
+    returned "no change" and that no pass has changed the function
+    since.  Calling a clean pass skips it and returns False.  A pass is
+    deterministic on its input IR and returns False only when it left
+    the function unchanged, so a run on that identical IR would have
+    returned False too.  Any change makes every pass dirty again,
+    including the one that made it.
+    """
+
+    def __init__(self, options: CompileOptions):
+        self.options = options
+        self.passes_run = 0
+        self.passes_skipped = 0
+        self._clean: Dict[str, Set[str]] = {}
+
+    def __call__(self, pass_fn, fir: FuncIR) -> bool:
+        name = pass_fn.__name__
+        clean = self._clean.setdefault(fir.func.name, set())
+        if name in clean:
+            self.passes_skipped += 1
+            tracer = obs.current()
+            if tracer.enabled:
+                with tracer.span("pass:" + name, func=fir.func.name) as span:
+                    span.set_counters(changed=0, skipped=1)
+            return False
+        self.passes_run += 1
+        changed = _run_pass(pass_fn, fir, self.options)
+        if changed:
+            clean.clear()
+        else:
+            clean.add(name)
+        return changed
+
+
+def _scalar_round(run: _PassManager, fir: FuncIR) -> bool:
     changed = False
-    changed |= _run_pass(constant_propagation, fir, options)
-    changed |= _run_pass(copy_propagation, fir, options)
-    changed |= _run_pass(coalesce_moves, fir, options)
-    changed |= _run_pass(redundant_load_elimination, fir, options)
-    changed |= _run_pass(dead_code_elimination, fir, options)
-    changed |= _run_pass(simplify_control_flow, fir, options)
+    changed |= run(constant_propagation, fir)
+    changed |= run(copy_propagation, fir)
+    changed |= run(coalesce_moves, fir)
+    changed |= run(redundant_load_elimination, fir)
+    changed |= run(dead_code_elimination, fir)
+    changed |= run(simplify_control_flow, fir)
     return changed
 
 
@@ -175,10 +216,12 @@ def compile_source(
         if options.verify:
             verify_module(module, pass_name="irgen")
 
+        run = _PassManager(options)
         if options.opt_level >= 1:
             if options.inline:
-                with tracer.span("pass:inline_functions"):
-                    inline_functions(module)
+                with tracer.span("pass:inline_functions") as span:
+                    changed = inline_functions(module)
+                    span.set_counters(changed=int(bool(changed)), skipped=0)
                     hook = options.post_pass_hook
                     if hook is not None:
                         for fir in module.funcs.values():
@@ -186,16 +229,16 @@ def compile_source(
                     if options.verify:
                         verify_module(module, pass_name="inline_functions")
             for fir in module.funcs.values():
-                _run_pass(simplify_control_flow, fir, options)
-                _run_pass(promote_locals, fir, options)
+                run(simplify_control_flow, fir)
+                run(promote_locals, fir)
                 for _ in range(options.max_scalar_rounds):
-                    if not _scalar_round(fir, options):
+                    if not _scalar_round(run, fir):
                         break
                 if options.opt_level >= 2:
-                    _run_pass(loop_invariant_code_motion, fir, options)
-                    _run_pass(strength_reduction, fir, options)
+                    run(loop_invariant_code_motion, fir)
+                    run(strength_reduction, fir)
                     for _ in range(2):
-                        if not _scalar_round(fir, options):
+                        if not _scalar_round(run, fir):
                             break
 
         # Classification runs on virtual-register code, as IMPACT's heuristics
@@ -230,5 +273,7 @@ def compile_source(
                 instructions=len(module.program.flat),
                 static_loads=sum(counts.values()),
                 ld_n=counts["n"], ld_p=counts["p"], ld_e=counts["e"],
+                passes_run=run.passes_run,
+                passes_skipped=run.passes_skipped,
             )
     return CompileResult(module.program, module, options, source)

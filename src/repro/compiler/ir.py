@@ -45,6 +45,9 @@ class FuncIR:
         self.local_size = 0
         self.next_vreg = 1
         self.has_calls = False
+        #: Per-hint counters of labels the passes create (see
+        #: :meth:`new_label`).
+        self.label_counts: Dict[str, int] = {}
 
     def slot_by_offset(self, offset: int) -> Optional[FrameSlot]:
         for slot in self.slots:
@@ -56,6 +59,17 @@ class FuncIR:
         index = self.next_vreg
         self.next_vreg += 1
         return index
+
+    def new_label(self, hint: str) -> str:
+        """A fresh ``<func>__<hint><n>`` label, numbered per function.
+
+        Numbering per function (never per process) keeps a listing a
+        pure function of the source: compiling the same program twice in
+        one process yields the same labels.
+        """
+        count = self.label_counts.get(hint, 0) + 1
+        self.label_counts[hint] = count
+        return f"{self.func.name}__{hint}{count}"
 
 
 class ModuleIR:

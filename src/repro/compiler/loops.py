@@ -35,9 +35,16 @@ class Loop:
         return f"Loop(header=BB{self.header}, blocks={sorted(self.blocks)})"
 
 
-def find_loops(cfg: CFG) -> List[Loop]:
-    """All natural loops of *cfg*, innermost first."""
-    dom = dominators(cfg)
+def find_loops(
+    cfg: CFG, dom: Optional[Dict[int, Set[int]]] = None
+) -> List[Loop]:
+    """All natural loops of *cfg*, innermost first.
+
+    *dom* is ``dominators(cfg)`` when the caller already has it (a pass
+    that also needs dominators computes them once per CFG state).
+    """
+    if dom is None:
+        dom = dominators(cfg)
     reach = set(cfg.reachable())
 
     merged: Dict[int, Set[int]] = {}

@@ -22,7 +22,8 @@ Hoisted instructions move to a freshly created preheader block.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from functools import lru_cache
+from typing import Callable, Dict, List, Set, Tuple
 
 from repro.compiler.cfg import CFG, BasicBlock
 from repro.compiler.dataflow import Liveness, inst_defs
@@ -35,8 +36,6 @@ from repro.isa.opcodes import FP_ALU_OPS, INT_ALU_OPS, Opcode
 
 _PURE_ALU = (INT_ALU_OPS | FP_ALU_OPS) - {Opcode.DIV, Opcode.REM}
 
-_preheader_counter = 0
-
 
 def loop_invariant_code_motion(fir: FuncIR) -> bool:
     """Hoist until no loop yields anything."""
@@ -47,11 +46,17 @@ def loop_invariant_code_motion(fir: FuncIR) -> bool:
 
 
 def _hoist_one(fir: FuncIR) -> bool:
-    """Process loops innermost-first; returns True after one mutation."""
+    """Process loops innermost-first; returns True after one mutation.
+
+    A loop that hoists nothing leaves the CFG untouched, so dominators
+    and liveness are computed once per CFG state and shared by every
+    loop tried on it; liveness only when some loop first needs it.
+    """
     cfg = CFG(fir.func)
-    loops = find_loops(cfg)
-    for loop in loops:
-        if _process_loop(fir, cfg, loop):
+    dom = dominators(cfg)
+    liveness = lru_cache(maxsize=None)(lambda: Liveness(cfg))
+    for loop in find_loops(cfg, dom):
+        if _process_loop(fir, cfg, loop, dom, liveness):
             # The freshly inserted preheader has no wired-up edges, so
             # unreachable-block filtering must be skipped here.
             cfg.to_function(drop_unreachable=False)
@@ -59,7 +64,13 @@ def _hoist_one(fir: FuncIR) -> bool:
     return False
 
 
-def _process_loop(fir: FuncIR, cfg: CFG, loop: Loop) -> bool:
+def _process_loop(
+    fir: FuncIR,
+    cfg: CFG,
+    loop: Loop,
+    dom: Dict[int, Set[int]],
+    liveness: Callable[[], Liveness],
+) -> bool:
     blocks = cfg.blocks
     loop_blocks = [blocks[i] for i in sorted(loop.blocks)]
 
@@ -83,14 +94,16 @@ def _process_loop(fir: FuncIR, cfg: CFG, loop: Loop) -> bool:
             elif inst.opcode is Opcode.CALL:
                 has_call = True
 
-    liveness = Liveness(cfg)
-    live_in_header = liveness.live_in[loop.header]
-    dom = dominators(cfg)
+    live_in_header = liveness().live_in[loop.header]
     exit_blocks = {
         b.index
         for b in loop_blocks
         for s in b.succs
         if s not in loop.blocks
+    }
+    dominates_exits = {
+        b.index: all(b.index in dom[e] for e in exit_blocks)
+        for b in loop_blocks
     }
 
     invariant_defs: Set[Tuple] = set()  # reg keys defined by hoisted instrs
@@ -111,9 +124,7 @@ def _process_loop(fir: FuncIR, cfg: CFG, loop: Loop) -> bool:
     while progress:
         progress = False
         for block in loop_blocks:
-            block_dominates_exits = all(
-                block.index in dom[e] for e in exit_blocks
-            ) if exit_blocks else True
+            block_dominates_exits = dominates_exits[block.index]
             for inst in block.instrs:
                 if id(inst) in hoisted_ids or inst.dest is None:
                     continue
@@ -154,9 +165,7 @@ def _process_loop(fir: FuncIR, cfg: CFG, loop: Loop) -> bool:
         ]
 
     # Build the preheader and retarget out-of-loop branches to it.
-    global _preheader_counter
-    _preheader_counter += 1
-    pre_label = f"{fir.func.name}__pre{_preheader_counter}"
+    pre_label = fir.new_label("pre")
     header_labels = set(blocks[loop.header].labels)
     for block in blocks:
         if block.index in loop.blocks:

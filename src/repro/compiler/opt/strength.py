@@ -22,13 +22,11 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.compiler.cfg import CFG, BasicBlock
-from repro.compiler.dataflow import Liveness, inst_defs
+from repro.compiler.dataflow import inst_defs
 from repro.compiler.ir import FuncIR
 from repro.compiler.loops import Loop, find_loops
 from repro.isa.instruction import Imm, Instruction, Reg
 from repro.isa.opcodes import Opcode
-
-_sr_counter = 0
 
 
 def strength_reduction(fir: FuncIR) -> bool:
@@ -130,13 +128,11 @@ def _rewrite(
     factor: int,
     step: int,
 ) -> None:
-    global _sr_counter
-    _sr_counter += 1
     blocks = cfg.blocks
     accumulator = Reg(fir.new_vreg_index(), "int", virtual=True)
 
     # Preheader: accumulator = iv * factor.
-    pre_label = f"{fir.func.name}__sr{_sr_counter}"
+    pre_label = fir.new_label("sr")
     header_labels = set(blocks[loop.header].labels)
     for block in blocks:
         if block.index in loop.blocks:

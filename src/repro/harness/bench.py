@@ -20,8 +20,9 @@ Usage::
 * ``--check`` turns the comparison into a gate: the run exits 2 when
   aggregate simulator throughput (simulated instructions per second of
   ``sim_s``) regresses more than ``--max-regression`` (default 30%)
-  below the recorded snapshot.  CI uses this against the committed
-  snapshot.
+  below the recorded snapshot, or when the summed ``compile_s`` of all
+  workloads grows more than that same fraction above it.  CI uses this
+  against the committed snapshot.
 
 The recorded metrics:
 
@@ -208,6 +209,7 @@ def run_bench(
     total_pre = sum(w["precompute_s"] for w in workloads.values())
     total_insts = sum(w["sim_instructions"] for w in workloads.values())
     total_runs = sum(w["sim_runs"] for w in workloads.values())
+    total_compile = sum(w["compile_s"] for w in workloads.values())
     return {
         "schema": BENCH_SCHEMA,
         "label": label,
@@ -217,6 +219,7 @@ def run_bench(
         "workloads": workloads,
         "totals": {
             "wall_s": round(total_wall, 3),
+            "compile_s": round(total_compile, 3),
             "precompute_s": round(total_pre, 3),
             "sim_s": round(total_sim, 3),
             "sweep_s": round(total_pre + total_sim, 3),
@@ -242,6 +245,19 @@ def sim_throughput(snapshot: Dict) -> float:
                  totals.get("sim_s") or 0.0, 1)
 
 
+def compile_seconds(snapshot: Dict) -> float:
+    """Summed ``compile_s`` over the snapshot's workloads.
+
+    Taken from the per-workload entries, which every schema records, so
+    snapshots written before the totals carried ``compile_s`` compare
+    too.
+    """
+    return round(sum(
+        entry.get("compile_s") or 0.0
+        for entry in snapshot.get("workloads", {}).values()
+    ), 4)
+
+
 def compare_snapshots(current: Dict, baseline: Dict) -> Dict:
     """Speedup of *current* over *baseline* (matching workloads only)."""
     base_totals = baseline.get("totals", {})
@@ -262,6 +278,13 @@ def compare_snapshots(current: Dict, baseline: Dict) -> Dict:
     cur_tp = sim_throughput(current)
     if base_tp:
         comparison["sim_throughput_ratio"] = round(cur_tp / base_tp, 3)
+    base_compile = compile_seconds(baseline)
+    cur_compile = compile_seconds(current)
+    if base_compile and cur_compile:
+        # A time ratio: above 1.0 means compiling got slower.
+        comparison["compile_time_ratio"] = round(
+            cur_compile / base_compile, 3
+        )
     per_workload = {}
     for name, entry in current.get("workloads", {}).items():
         base_entry = baseline.get("workloads", {}).get(name)
@@ -307,11 +330,12 @@ def main(argv=None) -> int:
                         help="snapshot to compare against (default "
                         f"{DEFAULT_BASELINE} when present)")
     parser.add_argument("--check", default=None, metavar="FILE",
-                        help="gate: exit 2 if simulator throughput regresses "
-                        "more than --max-regression below this snapshot")
+                        help="gate: exit 2 if simulator throughput drops, or "
+                        "summed compile time grows, by more than "
+                        "--max-regression against this snapshot")
     parser.add_argument("--max-regression", type=float, default=0.30,
-                        help="allowed fractional throughput regression for "
-                        "--check (default 0.30)")
+                        help="allowed fractional throughput and compile-time "
+                        "regression for --check (default 0.30)")
     parser.add_argument("--trace-out", default=None, metavar="DIR",
                         help="write a JSONL span trace and a run "
                         "manifest.json under DIR")
@@ -379,25 +403,42 @@ def main(argv=None) -> int:
     if comparison is not None:
         ratio = comparison.get("sim_throughput_ratio")
         wall = comparison.get("wall_speedup")
+        compile_ratio = comparison.get("compile_time_ratio")
         if ratio is not None:
             print(f"vs {baseline_path}: {ratio:.2f}x sim throughput, "
-                  f"{wall if wall is not None else '?'}x wall")
+                  f"{wall if wall is not None else '?'}x wall, "
+                  f"{compile_ratio if compile_ratio is not None else '?'}x "
+                  f"compile time")
 
     if args.check is not None:
         ratio = (comparison or {}).get("sim_throughput_ratio")
-        if ratio is None:
-            print("regression check failed: baseline lacks throughput data",
-                  file=sys.stderr)
+        compile_ratio = (comparison or {}).get("compile_time_ratio")
+        if ratio is None or compile_ratio is None:
+            print("regression check failed: baseline lacks throughput or "
+                  "compile data", file=sys.stderr)
             return 2
         floor = 1.0 - args.max_regression
+        ceiling = 1.0 + args.max_regression
+        failed = False
         if ratio < floor:
             print(
                 f"regression check FAILED: throughput ratio {ratio:.3f} "
                 f"below allowed floor {floor:.3f}",
                 file=sys.stderr,
             )
+            failed = True
+        if compile_ratio > ceiling:
+            print(
+                f"regression check FAILED: compile time ratio "
+                f"{compile_ratio:.3f} above allowed ceiling {ceiling:.3f}",
+                file=sys.stderr,
+            )
+            failed = True
+        if failed:
             return 2
-        print(f"regression check ok ({ratio:.2f}x >= {floor:.2f}x)")
+        print(f"regression check ok (throughput {ratio:.2f}x >= "
+              f"{floor:.2f}x, compile time {compile_ratio:.2f}x <= "
+              f"{ceiling:.2f}x)")
     return 0
 
 

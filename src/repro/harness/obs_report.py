@@ -13,6 +13,12 @@ merges the files and prints:
   (counted once, from the outermost span of that name), self time, and
   count / mean / max (compiler passes, sims, prepare/emulate/profile,
   harness tasks),
+* **compiler passes** — per ``pass:<name>`` span name, how often the
+  pass ran, how often the change-driven pass manager skipped it (its
+  last run on that function changed nothing and no pass has changed the
+  function since), how often it changed the IR, and its time; a total
+  row sums the driver ``compile`` spans' ``passes_run`` /
+  ``passes_skipped`` counters,
 * **per-worker utilisation** — the same, grouped by the ``worker`` tag
   the harness stamps on pool workers and attempt processes,
 * **load classes** — Table 2's per-class static/dynamic shares and
@@ -57,6 +63,17 @@ STAGE_HEADERS = {
     "mean_s": "Mean s",
     "max_s": "Max s",
 }
+
+PASS_HEADERS = {
+    "pass": "Pass",
+    "runs": "Runs",
+    "skipped": "Skipped",
+    "changed": "Changed",
+    "total_s": "Total s",
+}
+
+#: Label of the pass table's total row (driver ``compile`` counters).
+PASS_TOTAL = "all per-function passes"
 
 WORKER_HEADERS = {
     "worker": "Worker",
@@ -155,6 +172,44 @@ def stage_summary(records: List[dict]) -> List[dict]:
         })
     rows.sort(key=lambda row: row["total_s"], reverse=True)
     return rows
+
+
+def pass_summary(records: List[dict]) -> List[dict]:
+    """Runs, skips, changes and time per compiler pass, in trace order.
+
+    A ``pass:<name>`` span with ``skipped=1`` is a call the pass manager
+    answered without running the pass; every other span of the name is a
+    run.  The final row totals the ``passes_run`` / ``passes_skipped``
+    counters of the driver's ``compile`` spans: per-function passes only,
+    so the module-level inliner and the classifier are not in it.
+    """
+    rows: Dict[str, dict] = {}
+    compiled = {"runs": 0, "skipped": 0}
+    for rec in records:
+        if rec.get("kind") != "span":
+            continue
+        name = rec.get("name", "")
+        counters = rec.get("counters", {})
+        if name == "compile" and "passes_run" in counters:
+            compiled["runs"] += counters["passes_run"]
+            compiled["skipped"] += counters.get("passes_skipped", 0)
+        if not name.startswith("pass:"):
+            continue
+        row = rows.setdefault(name[len("pass:"):], {
+            "runs": 0, "skipped": 0, "changed": 0, "total_s": 0.0,
+        })
+        skipped = counters.get("skipped", 0)
+        row["runs"] += 1 - skipped
+        row["skipped"] += skipped
+        row["changed"] += counters.get("changed", 0)
+        row["total_s"] += rec.get("dur_s", 0.0)
+    out = [
+        dict(row, **{"pass": name, "total_s": round(row["total_s"], 4)})
+        for name, row in rows.items()
+    ]
+    if compiled["runs"]:
+        out.append(dict(compiled, **{"pass": PASS_TOTAL}))
+    return out
 
 
 def worker_summary(records: List[dict]) -> List[dict]:
@@ -348,6 +403,14 @@ def render(trace_dir) -> str:
             stages, columns=list(STAGE_HEADERS),
             headers=STAGE_HEADERS, precision=4,
             title="Per-stage wall time",
+        ))
+    passes = pass_summary(records)
+    if passes:
+        out.append("")
+        out.append(format_table(
+            passes, columns=list(PASS_HEADERS),
+            headers=PASS_HEADERS, precision=4,
+            title="Compiler passes (change-driven)",
         ))
     workers = worker_summary(records)
     if workers:

@@ -125,3 +125,41 @@ def test_compare_recomputes_an_inflated_stored_rate():
     # 1000/s now against 500/s over the baseline's full sim_s — a 2x
     # gain, not the 0.2x regression the stored rate would report.
     assert comparison["sim_throughput_ratio"] == 2.0
+
+
+def _snapshot(compile_s: float) -> dict:
+    return {
+        "schema": 5, "scale": 0.05, "suites": ["spec"],
+        "totals": {
+            "wall_s": 2.0, "precompute_s": 0.5, "sim_s": 1.0,
+            "sweep_s": 1.5, "sim_runs": 10, "sim_instructions": 1000,
+            "sim_instructions_per_sec": 1000.0,
+        },
+        "workloads": {
+            "a": {"wall_s": 1.0, "compile_s": compile_s / 2},
+            "b": {"wall_s": 1.0, "compile_s": compile_s / 2},
+        },
+    }
+
+
+@pytest.mark.parametrize("compile_s, code", [(1.25, 0), (1.35, 2)])
+def test_check_gates_summed_compile_time(tmp_path, monkeypatch, capsys,
+                                         compile_s, code):
+    """``--check`` fails on a >30% compile-time regression even when
+    simulator throughput is unchanged."""
+    import json
+
+    from repro.harness import bench
+
+    baseline = tmp_path / "base.json"
+    baseline.write_text(json.dumps(_snapshot(1.0)))
+    monkeypatch.setattr(
+        bench, "run_bench", lambda *a, **k: _snapshot(compile_s)
+    )
+    assert bench.main([
+        "--check", str(baseline), "--max-regression", "0.30",
+        "--output", str(tmp_path / "cur.json"),
+    ]) == code
+    err = capsys.readouterr().err
+    assert ("compile time ratio" in err) == bool(code)
+    assert "throughput ratio" not in err

@@ -7,7 +7,13 @@ inclusive time once while reporting each span's self time.
 
 import pytest
 
-from repro.harness.obs_report import replay_paths, stage_summary
+from repro.harness.obs_report import (
+    PASS_TOTAL,
+    pass_summary,
+    render,
+    replay_paths,
+    stage_summary,
+)
 
 
 def _span(span_id, name, dur, parent=None, pid=1):
@@ -66,3 +72,52 @@ def test_replay_paths_group_by_path():
     assert rows["scalar"] == {"path": "scalar", "runs": 1, "patches": 2}
     assert rows["inline:hw-dual"]["runs"] == 1
     assert set(rows["memo"]) == {"path", "runs", "patches"}
+
+
+def _pass_span(span_id, name, dur, parent, **counters):
+    return dict(_span(span_id, name, dur, parent=parent), counters=counters)
+
+
+def _compile_trace():
+    # One compile: constprop runs twice (changes once), then is skipped;
+    # dce runs once; the classifier span carries no change flags.
+    return [
+        _pass_span(2, "pass:constant_propagation", 0.5, 1,
+                   changed=1, skipped=0),
+        _pass_span(3, "pass:dead_code_elimination", 0.25, 1,
+                   changed=0, skipped=0),
+        _pass_span(4, "pass:constant_propagation", 0.25, 1,
+                   changed=0, skipped=0),
+        _pass_span(5, "pass:constant_propagation", 0.0, 1,
+                   changed=0, skipped=1),
+        _pass_span(6, "pass:classify", 0.125, 1, ld_n=1),
+        _pass_span(1, "compile", 2.0, None,
+                   passes_run=3, passes_skipped=1),
+    ]
+
+
+def test_pass_summary_counts_runs_skips_and_changes():
+    rows = {r["pass"]: r for r in pass_summary(_compile_trace())}
+    assert rows["constant_propagation"] == {
+        "pass": "constant_propagation", "runs": 2, "skipped": 1,
+        "changed": 1, "total_s": 0.75,
+    }
+    assert rows["dead_code_elimination"]["runs"] == 1
+    assert rows["classify"]["skipped"] == 0
+    assert rows[PASS_TOTAL] == {"pass": PASS_TOTAL, "runs": 3, "skipped": 1}
+
+
+def test_report_renders_the_pass_table(tmp_path):
+    import json
+
+    with open(tmp_path / "trace-1.jsonl", "w", encoding="utf-8") as fh:
+        for rec in _compile_trace():
+            fh.write(json.dumps(rec) + "\n")
+    out = render(tmp_path)
+    assert "Compiler passes (change-driven)" in out
+    header = next(line for line in out.splitlines() if "Skipped" in line)
+    assert header.split() == ["Pass", "Runs", "Skipped", "Changed", "Total",
+                              "s"]
+    total = next(line for line in out.splitlines()
+                 if line.strip().startswith(PASS_TOTAL))
+    assert total.split()[-2:] == ["3", "1"]

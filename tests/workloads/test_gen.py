@@ -265,6 +265,24 @@ def test_gen_fingerprint_event_emitted(tmp_path):
     assert "achieved" in tags and "weights" in tags
 
 
+def test_planner_self_check_compares_the_accepted_probe(monkeypatch):
+    """The self-check reuses the accepted probe's emulated output: the
+    plan's reference must equal it, and a mismatch is refused."""
+    from repro.workloads.gen import planner
+
+    plan = planner.plan_program(CANONICAL["strided"], seed=92)
+    source = plan.source_template.replace(
+        "__SCALE__", str(GEN_DEFAULT_SCALE))
+    assert execute(compile_source(source).program).output == \
+        plan.reference(GEN_DEFAULT_SCALE)
+
+    monkeypatch.setattr(
+        planner, "reference_output", lambda *args: [-1]
+    )
+    with pytest.raises(planner.GenerationError, match="self-check"):
+        planner.plan_program(CANONICAL["strided"], seed=92)
+
+
 # -- sweep grid ------------------------------------------------------------
 
 def test_simplex_tokens_cover_the_grid():
