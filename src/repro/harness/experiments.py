@@ -410,7 +410,7 @@ def sim_requests(suite: str) -> List[SimRequest]:
     remain the source of truth for the row *values* — this plan only
     enumerates which independent sims they will request, so a scheduler
     can fan them out and pre-populate the context cache.  A plan miss is
-    harmless: the context falls back to simulating inline.
+    harmless: the context simulates the missing config on demand.
     """
     requests: Dict[tuple, SimRequest] = {}
 

@@ -29,8 +29,9 @@ merges the files and prints:
   per early-generation config,
 * **replay path coverage** — the ``sim.replay`` events grouped by
   chosen path (stats memo, scalar stream replay, or
-  ``inline:<reason>``), with divergence patches, so a sweep's
-  fast-path coverage is visible at a glance.
+  ``inline:<reason>`` for a run in live mode, not on precomputed
+  streams), with divergence patches, so a sweep's stream coverage is
+  visible at a glance.
 
 ``--validate`` instead checks the manifest and every trace record
 against the schema and exits non-zero on any problem; CI runs this
@@ -299,9 +300,10 @@ def sim_totals(records: List[dict]) -> List[dict]:
 def replay_paths(records: List[dict]) -> List[dict]:
     """``sim.replay`` events grouped by chosen replay path.
 
-    Declined configs report ``inline:<reason>`` so the rows show *why*
-    the stream path was skipped; stream rows accumulate the divergence
-    patches their replays needed.
+    Runs in live mode, not on precomputed streams, report
+    ``inline:<reason>`` (``hw-dual`` or ``divergence-fallback``) so the
+    rows show *why* the streams were skipped; stream rows accumulate the
+    divergence patches their replays needed.
     """
     rows: Dict[str, Dict[str, int]] = {}
     for rec in records:

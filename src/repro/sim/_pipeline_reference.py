@@ -1,12 +1,15 @@
-"""The seed (pre-fast-path) TimingSimulator.run, kept as an executable
-specification.
+"""The seed TimingSimulator.run, kept as an executable specification.
 
 ``reference_run(sim)`` is the original dict-scoreboard implementation of
-:meth:`repro.sim.pipeline.TimingSimulator.run`, verbatim.  The
-restructured fast path in ``pipeline.py`` must produce bit-identical
-:class:`~repro.sim.stats.SimStats` (including timelines); the property
-test ``tests/sim/test_pipeline_parity.py`` checks the two against each
-other on randomized programs and configs.
+:meth:`repro.sim.pipeline.TimingSimulator.run`, verbatim.  It is the
+only other encoding of the timing model besides the package's one
+timing loop (:func:`repro.sim.precompute._replay`), and nothing in the
+package runs it: it is the oracle of the tests and gates.  The loop
+must produce bit-identical :class:`~repro.sim.stats.SimStats`
+(including timelines) — ``tests/sim/test_pipeline_parity.py``,
+``tests/sim/test_precompute.py``, the ``python -m
+repro.sim.precompute`` parity gate and the generator differential check
+the two against each other.
 
 Do not optimize this module.  Its value is being the obviously-faithful
 transcription of the timing conventions documented in ``pipeline.py``;

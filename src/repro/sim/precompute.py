@@ -1,4 +1,4 @@
-"""Config-invariant event precomputation + batched multi-config replay.
+"""The timing loop: config-invariant precomputation + windowed replay.
 
 A config sweep replays one :class:`~repro.sim.trace.Trace` under many
 :class:`~repro.sim.machine.EarlyGenConfig` variants (the harness runs
@@ -25,12 +25,14 @@ order:
 
 This module precomputes those streams once per trace (cached on the
 Program the same way ``_precompute_frontend`` caches front-end
-outcomes) and replays them through a window-local scoreboard that only
-does timing accounting.  What is *not* config-invariant stays in the
-replay: port arbitration, store interlocks, the ``R_addr`` writeback
-interlock, and issue scheduling.
+outcomes) and replays them through :func:`_replay`, a window-local
+scoreboard that only does timing accounting.  What is *not*
+config-invariant stays in the replay: port arbitration, store
+interlocks, the ``R_addr`` writeback interlock, and issue scheduling.
+:func:`_replay` is the only fast encoding of the timing model; the seed
+implementation in :mod:`repro.sim._pipeline_reference` is its oracle.
 
-Two effects cannot be precomputed and are handled explicitly:
+Two effects cannot be precomputed:
 
 * **Wrong-address pollution** is gated on a port being free one cycle
   early.  The streams are built assuming every wrong-address access
@@ -40,30 +42,36 @@ Two effects cannot be precomputed and are handled explicitly:
   A replay that records *no* disagreement is exact — its stream's fill
   assumptions matched the observed dispatch behavior at every
   wrong-prediction point — so only a zero-divergence replay is ever
-  accepted; after :data:`_MAX_PATCH_RETRIES` rebuilds the config falls
-  back to the inline path.
+  accepted.
 * **Hardware dual-path selection** routes each load at decode using the
-  current interlock state (timing-dependent), so those configs always
-  use the inline path.
+  current interlock state (timing-dependent).
 
-``TimingSimulator.run`` consumes the streams automatically when the
-precompute is already warm (never building one for a one-shot run);
-:func:`simulate_many` is the batched entry point that builds and shares
-one precompute across a sweep.  Both paths produce byte-identical
-:class:`~repro.sim.stats.SimStats` — enforced by the golden snapshots,
-a randomized parity test, and the ``python -m repro.sim.precompute``
-parity gate run in CI.
+Both are served by the loop's *live mode*: the same replay over the same
+records, driving a fresh predictor, ``R_addr``/BRIC and d-cache through
+their public methods at each load instead of reading streams.  Live mode
+runs the hardware dual-path configs and any config whose patching does
+not converge within :data:`_MAX_PATCH_RETRIES` rebuilds.
+
+:func:`simulate_one` (behind ``TimingSimulator.run``) and
+:func:`simulate_many` build the precompute on first use and share it
+across every later run on the trace.  Timelines and tightened watchdogs
+are a per-record observer of the loop; event hooks run after it.  The
+golden snapshots, the randomized parity suites, and the ``python -m
+repro.sim.precompute`` gate hold every path byte-identical to the
+reference.
 """
 
 from __future__ import annotations
 
 from array import array
 from collections import OrderedDict, deque
+from dataclasses import replace
 from typing import Dict, List, Optional, Sequence, Union
 
 from repro import obs
+from repro.errors import SimulationHang
 from repro.isa.opcodes import LoadSpec
-from repro.sim.addr_reg import RegisterCache
+from repro.sim.addr_reg import RAddr, RegisterCache
 from repro.sim.cache import DirectMappedCache
 from repro.sim.machine import (
     EarlyGenConfig,
@@ -113,25 +121,18 @@ _EMASK_TAB = bytes(1 if b == 2 else 0 for b in range(256))
 
 
 #: Bound on stream-patching rebuilds before a diverging config reruns
-#: on the inline path.  Divergent ordinals are discovered in batches
-#: (one replay records every disagreement it sees), so convergence
-#: normally takes one or two rebuilds.
+#: in live mode.  Divergent ordinals are discovered in batches (one
+#: replay records every disagreement it sees), so convergence normally
+#: takes one or two rebuilds.
 _MAX_PATCH_RETRIES = 6
-
-#: Traces shorter than this skip the precompute machinery entirely:
-#: building the record/dcache/predictor streams costs more than the
-#: handful of inline replays it would save (the BENCH_pr5 adpcm_encode
-#: wall regression was exactly this).  Patchable; the parity CLI and
-#: stream-level tests set it to 0.
-_PRECOMPUTE_MIN_N = 3000
 
 #: Identical stream tuples produce identical stats (the replay is a
 #: pure function of them), so sweeps memoize per-tuple results.
 _STATS_MEMO_LIMIT = 64
 
 #: Process-wide divergence counters (exposed for tests and the parity
-#: CLI): patched = resolved by a stream rebuild, fallbacks = rerun
-#: inline.
+#: CLI): patched = resolved by a stream rebuild, fallbacks = rerun in
+#: live mode.
 _divergences = 0
 _divergence_fallbacks = 0
 
@@ -164,15 +165,15 @@ class TracePrecompute:
       front-end outcomes (i-cache stall, branch redirect cycles) baked
       in.  Tuples are interned on ``(uid, penalty, extra)`` so the list
       costs one pointer per position.
-    * the interleaved memory-op sequence plus per-load static facts
-      (PC, word index, base/displacement slots, addressing mode) that
-      the per-config stream builders replay, and
-    * the *neutral* demand D-cache stream (no prediction path routed).
+    * the load/store order of the memory ops, per-load facts (PC,
+      effective address, base/displacement slots, addressing mode) and
+      per-store word addresses, which the per-config stream builders
+      and live mode read.
 
     Per-config streams are derived lazily and cached with an LRU bound:
 
     * ``dstream`` — demand-hit / prediction-outcome codes per dynamic
-      load, keyed ``(predictor_key, p-mask)``, plus the
+      load, keyed ``(predictor_key, p-mask, exclusions)``, plus the
       demand/store/pollution miss totals,
     * ``estream`` — calc-path dispatch-candidate codes, keyed
       ``(cached_regs, use_raddr, e-mask)``.
@@ -183,15 +184,14 @@ class TracePrecompute:
     access counts but never fills, and a wrong-address speculative
     access counts and fills under the *predicted* address — therefore
     ``SimStats.dcache_misses = demand + store + pollution misses`` and
-    ``SimStats.dcache_hits = loads - demand misses`` on both paths.
+    ``SimStats.dcache_hits = loads - demand misses``.
     """
 
     __slots__ = (
         "flat", "uids", "machine_key", "dcache_cfg",
-        "n", "n_loads", "n_stores",
-        "records", "ineligible_reason",
+        "n", "n_loads", "n_stores", "records",
         "imiss_total", "misp_total",
-        "mseq_kind", "mseq_ea", "lpc", "lword", "lbase", "lro", "ldisp",
+        "mseq_kind", "lpc", "lea", "lbase", "lro", "ldisp",
         "dyn_load_uids", "sword", "static_load_uids",
         "per_entry_bound", "total_cycle_bound",
         "_routes", "_dstreams", "_estreams", "_patches",
@@ -221,17 +221,14 @@ class TracePrecompute:
         intern: dict = {}
         mseq_kind = bytearray()
         mk_append = mseq_kind.append
-        mseq_ea = array("q")
-        me_append = mseq_ea.append
         lpc = array("q")
-        lword = array("q")
+        lea = array("q")
         lbase = bytearray()
         lro = bytearray()
         ldisp = bytearray()
         dyn_load_uids = array("q")
         sword = array("q")
         max_lat = 1
-        reason = None
 
         for i in range(n):
             uid = uids[i]
@@ -258,11 +255,9 @@ class TracePrecompute:
             key = (uid, pen, x)
             rec = intern.get(key)
             if rec is None:
+                # _decode_program guarantees at most three sources.
                 srcs = d[2]
                 ns = len(srcs)
-                if ns > 3:
-                    reason = "more than three register sources"
-                    break
                 s1 = srcs[0] if ns else _NO_SRC
                 s2 = srcs[1] if ns > 1 else _NO_SRC
                 s3 = srcs[2] if ns > 2 else _NO_SRC
@@ -276,9 +271,8 @@ class TracePrecompute:
             if k == _R_LOAD:
                 ea = eas[i]
                 mk_append(0)
-                me_append(ea)
                 lpc.append(d[8])
-                lword.append(ea >> 2)
+                lea.append(ea)
                 lbase.append(d[4])
                 lro.append(d[5])
                 ldisp.append(d[6] if d[6] >= 0 else 0)
@@ -286,28 +280,24 @@ class TracePrecompute:
             elif k == _R_STORE:
                 ea = eas[i]
                 mk_append(1)
-                me_append(ea)
                 sword.append(ea >> 2)
 
-        self.ineligible_reason = reason
-        self.records = records if reason is None else None
+        self.records = records
         self.mseq_kind = bytes(mseq_kind)
-        self.mseq_ea = mseq_ea
         self.lpc = lpc
-        self.lword = lword
+        self.lea = lea
         self.lbase = bytes(lbase)
         self.lro = bytes(lro)
         self.ldisp = bytes(ldisp)
         self.dyn_load_uids = dyn_load_uids
         self.sword = sword
-        self.n_loads = len(lword)
+        self.n_loads = len(lea)
         self.n_stores = len(sword)
 
-        # Watchdog-compatibility bound: the most cycles one replay
-        # record can advance the clock (fetch stall + operand wait +
-        # one resource re-arbitration + branch redirect).  Used to
-        # prove the inline watchdogs could never have fired, so the
-        # fast path may skip them.
+        # Watchdog bound: the most cycles one replay record can advance
+        # the clock (fetch stall + operand wait + one resource
+        # re-arbitration + branch redirect).  Watchdogs looser than this
+        # provably cannot fire, so only tighter ones need the observer.
         self.per_entry_bound = (
             cfg.icache.miss_penalty
             + max(cfg.load_latency + cfg.dcache.miss_penalty, max_lat)
@@ -371,9 +361,10 @@ class TracePrecompute:
         Returns ``(codes, demand_misses, store_misses, pollution_misses)``
         where ``codes[li]`` has bit 0 = demand access hit, bit 1 = a
         functioning prediction was made, bit 2 = the prediction matched
-        the computed address.  ``excluded`` lists load ordinals whose
-        wrong-address pollution is known (from a prior replay attempt)
-        not to have dispatched.
+        the computed address, bit 3 = the stream filled the cache with
+        this wrong-address access (assumed dispatched).  ``excluded``
+        lists load ordinals whose wrong-address pollution is known (from
+        a prior replay attempt) not to have dispatched; they lack bit 3.
         """
         if not eg.table_entries or 1 not in route:
             key = None
@@ -410,8 +401,9 @@ class TracePrecompute:
         dc_access = dc.access
         dc_write = dc.write_access
 
-        # The backend comes from the same registry factory as both
-        # pipelines, so the stream replays the identical state machine.
+        # The backend comes from the same registry factory as live mode
+        # and the reference, so the stream replays the identical state
+        # machine.
         table = (_create_predictor(eg)
                  if eg is not None and pmask is not None else None)
         tb_inline = (table is not None and eg.predictor == "stride"
@@ -419,7 +411,7 @@ class TracePrecompute:
         # Demand-trained backends consume the demand outcome, so their
         # update is deferred until after the demand access below (the
         # update itself never touches the cache — same outcome as the
-        # pipelines' probe-before-access).
+        # reference's probe-before-access).
         tb_demand = table is not None and table.trains_on_demand
         if tb_inline:
             tbl = table._table
@@ -430,14 +422,14 @@ class TracePrecompute:
 
         codes = bytearray(self.n_loads)
         dmiss = store_miss = poll_miss = poll_hit = 0
-        mseq_ea = self.mseq_ea
         lpc = self.lpc
+        lea = self.lea
+        sword = self.sword
         li = 0
-        idx = 0
+        si = 0
         for mk in self.mseq_kind:
-            ea = mseq_ea[idx]
-            idx += 1
             if mk == 0:
+                ea = lea[li]
                 code = 0
                 probed = pmask is not None and pmask[li]
                 if probed:
@@ -460,6 +452,8 @@ class TracePrecompute:
                     if predicted is not None:
                         if predicted == ea:
                             code = 6
+                        elif li in excluded:
+                            code = 2
                         else:
                             # Assumed-dispatched wrong-address access:
                             # counts and fills under the predicted
@@ -467,10 +461,8 @@ class TracePrecompute:
                             # as diverged if the dispatch did not
                             # actually happen, and it lands in
                             # `excluded` on the rebuild).
-                            code = 2
-                            if li in excluded:
-                                pass
-                            elif direct:
+                            code = 10
+                            if direct:
                                 cblk = predicted >> bs
                                 cidx = cblk & im
                                 ctag = cblk >> ts
@@ -484,9 +476,9 @@ class TracePrecompute:
                             else:
                                 poll_miss += 1
                     if tb_inline:
-                        # Identical state-machine arcs to the inline
-                        # path (Figure 3): Replace / Correct /
-                        # New_Stride / Verified_Stride.
+                        # Identical state-machine arcs to
+                        # AddressPredictionTable.update (Figure 3):
+                        # Replace / Correct / New_Stride / Verified_Stride.
                         if entry is None:
                             tbl[t_idx] = TableEntry(t_tag, ea)
                         elif entry.tag != t_tag:
@@ -531,7 +523,10 @@ class TracePrecompute:
                 codes[li] = code
                 li += 1
             else:
-                # Write-through, no-allocate: counts, never fills.
+                # Write-through, no-allocate: counts, never fills.  The
+                # word address lies in the store's block.
+                ea = sword[si] << 2
+                si += 1
                 if direct:
                     cblk = ea >> bs
                     if tags[cblk & im] != cblk >> ts:
@@ -609,7 +604,7 @@ class TracePrecompute:
 def _scheme_bytes(program, eg: EarlyGenConfig,
                   override: Optional[Dict[int, LoadSpec]]) -> Optional[bytes]:
     """Per-static-load routing (0/1/2), or None when routing is decided
-    at run time (hardware dual-path selection)."""
+    at decode (hardware dual-path selection)."""
     dec, load_uids = _decode_program(program)
     nl = len(load_uids)
     if not (eg.table_entries or eg.cached_regs):
@@ -636,21 +631,15 @@ def _scheme_bytes(program, eg: EarlyGenConfig,
     return (b"\x01" if has_table else b"\x02") * nl
 
 
-def get_precompute(trace: Trace, cfg: MachineConfig,
-                   build: bool = True) -> Optional[TracePrecompute]:
-    """The trace's precompute for *cfg*'s machine shape.
+def get_precompute(trace: Trace, cfg: MachineConfig) -> TracePrecompute:
+    """The trace's precompute for *cfg*'s machine shape, built on first use.
 
     Cached on the Program keyed by trace identity (like the front-end
     cache) with an LRU bound of ``_PRECOMPUTE_LIMIT`` machine shapes.
-    With ``build=False`` only an already-warm precompute is returned —
-    that is what lets ``TimingSimulator.run`` use the fast path without
-    ever paying a build for a one-shot simulation.
     """
     program = trace.program
     cached = getattr(program, "_sim_precompute", None)
     if cached is None or cached[0] is not trace.uids:
-        if not build:
-            return None
         cached = (trace.uids, OrderedDict())
         program._sim_precompute = cached
     store = cached[1]
@@ -659,8 +648,6 @@ def get_precompute(trace: Trace, cfg: MachineConfig,
     if pre is not None and pre.flat is program.flat:
         store.move_to_end(key)
         return pre
-    if not build:
-        return None
     pre = TracePrecompute(program, trace, cfg)
     while len(store) >= _PRECOMPUTE_LIMIT:
         store.popitem(last=False)
@@ -669,8 +656,8 @@ def get_precompute(trace: Trace, cfg: MachineConfig,
 
 
 def _watchdogs_compatible(pre: TracePrecompute, sim: TimingSimulator) -> bool:
-    """True when the inline watchdogs provably cannot fire, so the fast
-    path (which does not check them) is behaviorally identical."""
+    """True when the watchdogs provably cannot fire on this trace, so
+    the replay needs no observer to enforce them."""
     if sim.stall_limit and sim.stall_limit < pre.per_entry_bound:
         return False
     if sim.max_cycles and sim.max_cycles < pre.total_cycle_bound:
@@ -678,9 +665,89 @@ def _watchdogs_compatible(pre: TracePrecompute, sim: TimingSimulator) -> bool:
     return True
 
 
+#: Watchdog threshold standing in for a disabled (``0``) watchdog.
+_NEVER = 1 << 62
+
+
+class _Observer:
+    """Per-record observer of :func:`_replay`: one run's timeline and
+    watchdogs.
+
+    Called at every record boundary, in trace order, with the cycle the
+    previous record ended on, that record's route and success flag (if
+    it was a load), and the register-ready scoreboard its latency is
+    read from.  The first call, before any record, reports nothing.
+    """
+
+    __slots__ = ("sim", "records", "uids", "timeline", "stall_limit",
+                 "max_cycles", "i", "t_enter", "stores")
+
+    def __init__(self, sim: TimingSimulator, pre: TracePrecompute):
+        self.sim = sim
+        self.records = pre.records
+        self.uids = pre.uids
+        self.timeline: Optional[list] = (
+            [] if sim.collect_timeline else None
+        )
+        self.stall_limit = sim.stall_limit or _NEVER
+        self.max_cycles = sim.max_cycles or _NEVER
+        self.i = -1
+        self.t_enter = 0
+        #: Issue cycles of stores still in flight (for the hang dump).
+        self.stores: deque = deque()
+
+    def __call__(self, cur: int, route: int, success: bool,
+                 rr: list) -> None:
+        i = self.i
+        self.i = i + 1
+        if i < 0:
+            return
+        k, _, _, _, _, dest, x = self.records[i]
+        t = cur
+        if k == _R_STORE:
+            stores = self.stores
+            while stores and stores[0] < cur - 2:
+                stores.popleft()
+            stores.append(cur)
+        elif k == _R_BRANCH or k == _R_CALL:
+            t = cur - x  # issue cycle, before the redirect
+        if self.timeline is not None:
+            if k == _R_LOAD:
+                lat = rr[dest] - cur
+                if route == 0:
+                    note = f"load lat={lat}"
+                else:
+                    outcome = "hit" if success else "miss"
+                    note = f"{'pe'[route - 1]}-{outcome} lat={lat}"
+            elif k == _R_STORE:
+                note = "store"
+            elif k == _R_BRANCH or k == _R_CALL:
+                note = "branch mispredict" if x > 1 else "branch"
+            else:
+                note = ""
+            self.timeline.append((self.uids[i], t, note))
+        if cur - self.t_enter > self.stall_limit:
+            self._hang(i, cur, f"no retirement for {cur - self.t_enter} "
+                       f"cycles (stall limit {self.sim.stall_limit})")
+        if cur > self.max_cycles:
+            self._hang(i, cur,
+                       f"cycle budget exceeded ({self.sim.max_cycles})")
+        self.t_enter = cur
+
+    def _hang(self, i: int, cur: int, message: str) -> None:
+        sim = self.sim
+        uid = self.uids[i]
+        op = sim.trace.program.flat[uid].opcode
+        raise SimulationHang(
+            message, dump=sim._hang_dump(i, uid, op, cur, self.stores)
+        )
+
+
 #: Process-wide replay path counters, keyed by the ``sim.replay`` event
-#: ``path`` field (``inline:<reason>`` for configs the stream path
-#: declined).  Exposed for tests and ``obs_report``.
+#: ``path`` field: ``memo`` and ``scalar`` for replays on precomputed
+#: streams, ``inline:<reason>`` for runs in live mode, not on
+#: precomputed streams (``hw-dual`` or ``divergence-fallback``).
+#: Exposed for tests and ``obs_report``.
 _replay_paths: Dict[str, int] = {}
 
 
@@ -692,96 +759,91 @@ def _count_path(path: str) -> None:
     _replay_paths[path] = _replay_paths.get(path, 0) + 1
 
 
-def _decline(reason: str, eg=None) -> None:
-    """Record that the stream path handed this run to the inline loop."""
-    _count_path("inline:" + reason)
-    tracer = obs.current()
-    if tracer.enabled:
-        tags = {"path": "inline", "reason": reason}
-        if eg is not None:
-            tags["predictor"] = eg.predictor
-        tracer.event("sim.replay", **tags)
-
-
 def _copy_stats(stats: SimStats) -> SimStats:
-    from dataclasses import replace
-
     return replace(stats, scheme_counts=dict(stats.scheme_counts))
 
 
-def try_fast(sim: TimingSimulator,
-             build: bool = False) -> Optional[SimStats]:
-    """Run *sim* on the precomputed-stream path, or return None when the
-    config is inline-only, the precompute is cold (``build=False``), the
-    trace is too short to amortize stream construction, or the replay
-    diverged (wrong-address pollution that did not dispatch).
+def simulate_one(sim: TimingSimulator) -> SimStats:
+    """Run *sim* on the timing loop (what ``TimingSimulator.run`` does).
 
-    Within the stream path each config resolves through the stats memo
-    when an identical stream tuple was already replayed, and through
-    the scalar :func:`_replay` otherwise.
+    Static routes replay the precomputed streams: through the stats memo
+    when an identical stream tuple was already replayed, through
+    :func:`_replay` otherwise, patching wrong-address divergences by
+    stream rebuilds.  Hardware dual-path configs, and configs whose
+    patching does not converge, run the same loop in live mode.  A
+    timeline, or a watchdog tighter than the trace can reach, attaches
+    the per-record observer to a final replay; the event hook and tracer
+    counters run after the loop.
     """
     cfg = sim.config
     eg = cfg.earlygen
-    if (
-        eg.table_entries
-        and eg.cached_regs
-        and eg.selection is SelectionMode.HARDWARE
-    ):
-        # Run-time (dual-path) selection is timing-dependent.
-        _decline("hw-dual", eg)
-        return None
     trace = sim.trace
-    if _PRECOMPUTE_MIN_N and len(trace.uids) < _PRECOMPUTE_MIN_N:
-        _decline("short-trace", eg)
-        return None
-    pre = get_precompute(trace, cfg, build=build)
-    if pre is None:
-        _decline("cold", eg)
-        return None
-    if pre.records is None:
-        _decline("unstreamable", eg)
-        return None
-    if not _watchdogs_compatible(pre, sim):
-        _decline("watchdog", eg)
-        return None
+    pre = get_precompute(trace, cfg)
+    observer = None
+    if sim.collect_timeline or not _watchdogs_compatible(pre, sim):
+        observer = _Observer(sim, pre)
     sb = _scheme_bytes(trace.program, eg, sim.spec_override)
     if sb is None:
-        _decline("unstreamable", eg)
-        return None
-    route = pre.route_for(sb)
-    ecodes = pre.estream(eg, route)
+        stats, ra_interlock = _run_live(pre, cfg, None, "hw-dual", observer)
+    else:
+        route = pre.route_for(sb)
+        streamed = _run_streams(pre, cfg, route)
+        if streamed is None:
+            stats, ra_interlock = _run_live(
+                pre, cfg, route, "divergence-fallback", observer
+            )
+        elif observer is None:
+            stats, ra_interlock, _ = streamed
+        else:
+            # The converged streams are exact, so the observed replay
+            # sees exactly the run the unobserved one accounted.
+            stats, ra_interlock, _ = _replay(
+                pre, cfg, route, streamed[2], observer
+            )
+    if observer is not None:
+        stats.timeline = observer.timeline
+    _emit_counters(sim.event_hook, eg, stats, ra_interlock)
+    return stats
+
+
+def _run_streams(pre: TracePrecompute, cfg: MachineConfig, route: bytes):
+    """Replay *route* on precomputed streams until no divergence.
+
+    Returns ``(stats, ra_interlock, streams)`` from the first replay
+    that recorded no divergence, or None when
+    :data:`_MAX_PATCH_RETRIES` rebuilds did not converge.
+    """
     global _divergences, _divergence_fallbacks
+    eg = cfg.earlygen
+    ecodes = pre.estream(eg, route)
     excluded = pre.known_exclusions(eg, route)
+    memo = pre._stats_memo
     patched = 0
     for _ in range(_MAX_PATCH_RETRIES + 1):
         dcodes, dmiss, store_miss, poll_miss = pre.dstream(
             eg, route, excluded
         )
-        dtotals = (dmiss, store_miss, poll_miss)
-        memo_key = (route, dcodes, dtotals, ecodes, excluded)
-        memo = pre._stats_memo.get(memo_key)
-        diverged: list = []
-        if memo is not None:
-            # The replay is a pure function of the stream tuple (the
-            # machine shape is fixed per precompute), so an identical
-            # tuple short-circuits to the memoized result.
-            pre._stats_memo.move_to_end(memo_key)
-            stats, ra_interlock = memo
-            stats = _copy_stats(stats)
+        streams = (dcodes, (dmiss, store_miss, poll_miss), ecodes)
+        # The replay is a pure function of the stream tuple (the machine
+        # shape is fixed per precompute, and dcodes carries the
+        # exclusions), so an identical tuple short-circuits to the
+        # memoized result.  Only zero-divergence results are memoized.
+        memo_key = (route,) + streams
+        hit = memo.get(memo_key)
+        if hit is not None:
+            memo.move_to_end(memo_key)
+            stats, ra_interlock = hit
             path = "memo"
+            diverged = ()
         else:
+            stats, ra_interlock, diverged = _replay(pre, cfg, route, streams)
             path = "scalar"
-            stats, ra_interlock = _replay(
-                pre, cfg, route, dcodes, dtotals, ecodes,
-                excluded, diverged,
-            )
         if not diverged:
             pre.remember_exclusions(eg, route, excluded)
-            if path != "memo":
-                memo = pre._stats_memo
+            if hit is None:
                 while len(memo) >= _STATS_MEMO_LIMIT:
                     memo.popitem(last=False)
-                memo[memo_key] = (_copy_stats(stats), ra_interlock)
+                memo[memo_key] = (stats, ra_interlock)
             _count_path(path)
             tracer = obs.current()
             if tracer.enabled:
@@ -794,29 +856,68 @@ def try_fast(sim: TimingSimulator,
                     selection=eg.selection.value,
                     predictor=eg.predictor,
                 )
-            _emit_counters(sim, eg, stats, ra_interlock)
-            return stats
+            return _copy_stats(stats), ra_interlock, streams
         # The stream's fill assumptions disagreed with the ports the
         # replay actually saw: flip every recorded ordinal and rebuild.
-        # Only a zero-divergence replay is accepted, so patching can
-        # never return inexact stats; stats from this attempt are
-        # discarded.
+        # Stats from this attempt are discarded.
         _divergences += len(diverged)
         patched += len(diverged)
         excluded = excluded.symmetric_difference(diverged)
     _divergence_fallbacks += 1
-    _decline("divergence-fallback", eg)
     return None
 
 
-def _emit_counters(sim: TimingSimulator, eg: EarlyGenConfig,
-                   stats: SimStats, ra_interlock: int) -> None:
-    """The same post-run observability seam as the inline path."""
-    hook = sim.event_hook
+def _run_live(pre: TracePrecompute, cfg: MachineConfig,
+              route: Optional[bytes], reason: str,
+              observer: Optional[_Observer]):
+    """Run the loop in live mode, recording why it did not stream."""
+    eg = cfg.earlygen
+    _count_path("inline:" + reason)
+    tracer = obs.current()
+    if tracer.enabled:
+        tracer.event("sim.replay", path="inline", reason=reason,
+                     predictor=eg.predictor)
+    stats, ra_interlock, _ = _replay(pre, cfg, route, None, observer)
+    return stats, ra_interlock
+
+
+def _event_counters(stats: SimStats, ra_interlock: int) -> dict:
+    """Flat event-counter payload handed to the observability hook."""
+    return {
+        "cycles": stats.cycles,
+        "instructions": stats.instructions,
+        "loads": stats.loads,
+        "stores": stats.stores,
+        "scheme_n": stats.scheme_counts.get("n", 0),
+        "scheme_p": stats.scheme_counts.get("p", 0),
+        "scheme_e": stats.scheme_counts.get("e", 0),
+        "pred_loads": stats.pred_loads,
+        "pred_dispatched": stats.pred_spec_dispatched,
+        "pred_success": stats.pred_success,
+        "pred_wrong_address": stats.pred_wrong_address,
+        "calc_loads": stats.calc_loads,
+        "calc_dispatched": stats.calc_spec_dispatched,
+        "calc_success": stats.calc_success,
+        "calc_success_partial": stats.calc_success_partial,
+        "raddr_interlock": ra_interlock,
+        "spec_no_port": stats.spec_no_port,
+        "spec_mem_interlock": stats.spec_mem_interlock,
+        "spec_dcache_miss": stats.spec_dcache_miss,
+        "dcache_hits": stats.dcache_hits,
+        "dcache_misses": stats.dcache_misses,
+        "icache_misses": stats.icache_misses,
+        "btb_mispredicts": stats.btb_mispredicts,
+    }
+
+
+def _emit_counters(hook, eg: EarlyGenConfig, stats: SimStats,
+                   ra_interlock: int) -> None:
+    """The post-run observability seam: strictly after the loop, and
+    free when neither a hook nor a tracer is installed."""
     tracer = obs.current()
     if hook is None and not tracer.enabled:
         return
-    payload = TimingSimulator._event_counters(stats, ra_interlock)
+    payload = _event_counters(stats, ra_interlock)
     if hook is not None:
         hook(payload)
     if tracer.enabled:
@@ -829,22 +930,37 @@ def _emit_counters(sim: TimingSimulator, eg: EarlyGenConfig,
         )
 
 
-def _replay(pre: TracePrecompute, cfg: MachineConfig, route: bytes,
-            dcodes: bytes, dtotals: tuple, ecodes: bytes,
-            excluded: frozenset = frozenset(),
-            diverged: Optional[list] = None):
-    """Timing-accounting pass over the precomputed streams.
+def _replay(pre: TracePrecompute, cfg: MachineConfig,
+            route: Optional[bytes], streams: Optional[tuple] = None,
+            observer: Optional[_Observer] = None):
+    """One timing pass over ``pre.records``: the model's cycle loop.
 
-    The inline simulator's cycle-tagged ring scoreboards collapse to a
-    handful of locals here because the issue cycle is monotone: ``iss``
-    / ``alu`` / ``fpu`` / ``bru`` count units consumed at the current
-    cycle, and a three-slot window ``pp`` / ``pm`` / ``pc`` tracks
-    memory ports at cycles ``cur-1`` / ``cur`` / ``cur+1`` (speculative
-    accesses charge ``pp``, normal MEM accesses charge ``pc``).  Every
-    clock advance shifts the window by the advance distance.
+    The conventions are the ones documented in :mod:`repro.sim.pipeline`.
+    The per-cycle scoreboards collapse to a handful of locals because
+    the issue cycle is monotone: ``iss`` / ``alu`` / ``fpu`` / ``bru``
+    count units consumed at the current cycle, and a three-slot window
+    ``pp`` / ``pm`` / ``pc`` tracks memory ports at cycles ``cur-1`` /
+    ``cur`` / ``cur+1`` (speculative accesses charge ``pp``, normal MEM
+    accesses charge ``pc``).  Every clock advance shifts the window by
+    the advance distance.
+
+    With ``streams = (dcodes, dtotals, ecodes)`` each load's cache,
+    predictor and calc-path outcomes come from the precomputed streams
+    under the static per-load *route*; every wrong-address access whose
+    dispatch disagreed with its stream's fill assumption lands in the
+    returned ``diverged`` list.  With ``streams=None`` the loop runs in
+    live mode: each load drives a fresh predictor, ``R_addr``/BRIC and
+    d-cache through their public methods, producing the same codes, and
+    ``route=None`` picks each load's path at decode (hardware dual-path
+    selection).  Live mode never diverges.
+
+    *observer*, when set, is called at every record boundary: before
+    each record and after the last (see :class:`_Observer`).
+
+    Returns ``(stats, ra_interlock, diverged)``.
     """
     records = pre.records
-    lword = pre.lword
+    lea = pre.lea
     lbase = pre.lbase
     sword = pre.sword
 
@@ -855,24 +971,59 @@ def _replay(pre: TracePrecompute, cfg: MachineConfig, route: bytes,
     n_brus = cfg.branch_units
     ld_lat, ld_hit_lat, miss_lat = cfg.load_latencies()
 
+    live = streams is None
+    hw_dual = route is None
+    if live:
+        eg = cfg.earlygen
+        if hw_dual:
+            route = bytearray(pre.n_loads)
+        ecodes = bytearray(pre.n_loads)
+        lpc = pre.lpc
+        lro = pre.lro
+        ldisp = pre.ldisp
+        dcache = DirectMappedCache(cfg.dcache)
+        dc_access = dcache.access
+        dc_write = dcache.write_access
+        table = _create_predictor(eg)
+        if table is not None:
+            tb_probe = table.probe
+            tb_update = table.update
+            tb_demand = table.trains_on_demand
+        raddr = regcache = None
+        if eg.cached_regs:
+            if eg.selection is SelectionMode.COMPILER:
+                raddr = RAddr()
+            else:
+                regcache = RegisterCache(eg.cached_regs)
+        wi = 0  # stores already written to the live d-cache
+        ldmiss = 0
+    else:
+        dcodes, dtotals, ecodes = streams
+    spec_any = hw_dual or 1 in route or 2 in route
+
     rr = [0] * 130
     cur = 0
     iss = alu = fpu = bru = 0
     pp = pm = pc = 0
 
-    spec_any = 1 in route or 2 in route
     sq: deque = deque()
     sq_append = sq.append
     sq_popleft = sq.popleft
 
     li = 0
     si = 0
+    r = 0
+    success = False
+    diverged: list = []
     pred_disp = pred_succ = pred_wrong = 0
     calc_disp = calc_succ = calc_part = 0
     sp_noport = sp_interlock = sp_dmiss = 0
     ra_interlock = 0
 
     for k, pen, s1, s2, s3, dest, x in records:
+        if observer is not None:
+            observer(cur, r, success, rr)
+        t_enter = cur
         if pen:
             if pen == 1:
                 pp = pm
@@ -921,8 +1072,61 @@ def _replay(pre: TracePrecompute, cfg: MachineConfig, route: bytes,
             rr[dest] = cur + x
 
         elif k == 0:  # load
-            code = dcodes[li]
-            r = route[li]
+            if live:
+                ea = lea[li]
+                while wi < si:  # earlier stores, in trace order
+                    dc_write(sword[wi] << 2)
+                    wi += 1
+                if hw_dual:
+                    # Eickemeyer-Vassiliadis: prediction only for loads
+                    # whose base register is interlocked at decode,
+                    # which is after the fetch penalty.
+                    r = 1 if rr[lbase[li]] > t_enter + pen - 2 else 2
+                    route[li] = r
+                else:
+                    r = route[li]
+                code = 0
+                if r == 1:
+                    pc_addr = lpc[li]
+                    predicted = tb_probe(pc_addr)
+                    if predicted is not None:
+                        if predicted == ea:
+                            code = 6
+                        elif pp < n_ports:
+                            # The wrong-address access dispatches and
+                            # fetches its block (the "extra load").
+                            dc_access(predicted)
+                            code = 10
+                        else:
+                            code = 2
+                elif r == 2:
+                    base = lbase[li]
+                    if raddr is not None:
+                        # A load that just switched the binding reads a
+                        # stale value; reg+reg cannot use R_addr at all.
+                        if raddr.probe(base) and lro[li]:
+                            ecodes[li] = 1
+                        raddr.bind(base)
+                    else:
+                        if regcache.probe(base):
+                            if lro[li]:
+                                ecodes[li] = 1
+                            elif regcache.probe(ldisp[li]):
+                                ecodes[li] = 3
+                        regcache.insert(base)
+                demand_hit = dc_access(ea)
+                if demand_hit:
+                    code |= 1
+                else:
+                    ldmiss += 1
+                if r == 1:
+                    if tb_demand:
+                        tb_update(pc_addr, ea, predicted, demand_hit)
+                    else:
+                        tb_update(pc_addr, ea, predicted)
+            else:
+                code = dcodes[li]
+                r = route[li]
             if r == 0:
                 if iss >= width or pc >= n_ports:
                     cur += 1
@@ -945,7 +1149,7 @@ def _replay(pre: TracePrecompute, cfg: MachineConfig, route: bytes,
                             if sq:
                                 while sq and sq[0][0] + 1 <= c:
                                     sq_popleft()
-                                w = lword[li]
+                                w = lea[li] >> 2
                                 for _, s_w in sq:
                                     if s_w == w:
                                         ilk = True
@@ -958,14 +1162,14 @@ def _replay(pre: TracePrecompute, cfg: MachineConfig, route: bytes,
                             else:
                                 sp_dmiss += 1
                         else:
-                            if li in excluded:
+                            if not code & 8:
                                 # The stream assumed this wrong-address
                                 # access would NOT fill the cache, yet
                                 # it found a free port and dispatched.
                                 diverged.append(li)
                             pred_wrong += 1
                     else:
-                        if not code & 4 and li not in excluded:
+                        if code & 8:
                             # The stream assumed this wrong-address
                             # access filled the cache; it had no port.
                             diverged.append(li)
@@ -1006,7 +1210,7 @@ def _replay(pre: TracePrecompute, cfg: MachineConfig, route: bytes,
                             if sq:
                                 while sq and sq[0][0] + 1 <= c:
                                     sq_popleft()
-                                w = lword[li]
+                                w = lea[li] >> 2
                                 for _, s_w in sq:
                                     if s_w == w:
                                         ilk = True
@@ -1107,13 +1311,20 @@ def _replay(pre: TracePrecompute, cfg: MachineConfig, route: bytes,
             iss += 1
             rr[dest] = cur + x
 
+    if observer is not None:
+        observer(cur, r, success, rr)
+    if live:
+        while wi < si:  # stores after the last load
+            dc_write(sword[wi] << 2)
+            wi += 1
+        dtotals = (ldmiss, 0, dcache.misses - ldmiss)
     stats = _assemble_stats(
         pre, route, dtotals, cur,
         pred_disp, pred_succ, pred_wrong,
         calc_disp, calc_succ, calc_part,
         sp_noport, sp_interlock, sp_dmiss,
     )
-    return stats, ra_interlock
+    return stats, ra_interlock, diverged
 
 
 def _assemble_stats(pre: TracePrecompute, route: bytes, dtotals: tuple,
@@ -1160,27 +1371,17 @@ def warm_precompute(
     machine: MachineConfig,
     configs: Sequence[EarlyGenConfig],
     overrides: Optional[Sequence[Optional[Dict[int, LoadSpec]]]] = None,
-) -> Optional[TracePrecompute]:
+) -> TracePrecompute:
     """Build the precompute and every stream *configs* will need.
 
     Separating this from :func:`simulate_many` lets callers (the bench
     harness in particular) attribute one-time stream construction to a
-    ``precompute`` stage and keep the per-config passes pure.  Short
-    traces return None: the sweep is cheaper inline than the streams
-    are to build (see :data:`_PRECOMPUTE_MIN_N`).
+    ``precompute`` stage and keep the per-config passes pure.  Configs
+    routed at decode (hardware dual-path) run in live mode and need no
+    streams.
     """
-    if _PRECOMPUTE_MIN_N and len(trace.uids) < _PRECOMPUTE_MIN_N:
-        return None
     pre = get_precompute(trace, machine)
-    if pre is None or pre.records is None:
-        return None
     for idx, eg in enumerate(configs):
-        if (
-            eg.table_entries
-            and eg.cached_regs
-            and eg.selection is SelectionMode.HARDWARE
-        ):
-            continue
         ov = overrides[idx] if overrides is not None else None
         sb = _scheme_bytes(trace.program, eg, ov)
         if sb is None:
@@ -1214,9 +1415,7 @@ def simulate_many(
     objects.  ``overrides`` optionally carries a per-config
     ``spec_override`` map; ``span_tags`` optional per-config tag dicts
     for a ``sim`` span on the ambient tracer.  Results are in input
-    order and byte-identical to independent ``TimingSimulator`` runs —
-    configs the streams cannot express (hardware dual-path, diverging
-    pollution) transparently use the inline path.
+    order and byte-identical to independent ``TimingSimulator`` runs.
     """
     base = machine if machine is not None else MachineConfig()
     tracer = obs.current()
@@ -1231,14 +1430,9 @@ def simulate_many(
         tags = span_tags[idx] if span_tags is not None else None
         if tags is not None:
             with tracer.span("sim", **tags):
-                stats = try_fast(sim, build=True)
-                if stats is None:
-                    stats = sim._run_inline()
+                results.append(simulate_one(sim))
         else:
-            stats = try_fast(sim, build=True)
-            if stats is None:
-                stats = sim._run_inline()
-        results.append(stats)
+            results.append(simulate_one(sim))
     return results
 
 
@@ -1247,11 +1441,13 @@ def simulate_many(
 # ---------------------------------------------------------------------------
 
 def _parity_main(argv: Optional[Sequence[str]] = None) -> int:
-    """Replay every harness sim request on both paths and diff the stats.
+    """Replay every harness sim request on the timing loop and on the
+    reference pipeline and diff the stats.
 
-    CI runs this at a small scale as a standing precompute-vs-inline
-    parity gate; exit status 1 means at least one config produced
-    non-identical :class:`SimStats`.
+    CI runs this at a small scale as a standing parity gate; exit status
+    1 means at least one config produced non-identical
+    :class:`SimStats` (or, with ``--require-stream``, ran in live mode
+    for any reason other than hardware dual-path selection).
     """
     import argparse
     import dataclasses
@@ -1266,12 +1462,14 @@ def _parity_main(argv: Optional[Sequence[str]] = None) -> int:
         eg_tag,
         sim_requests,
     )
+    from repro.sim._pipeline_reference import reference_run
     from repro.sim.machine import BASELINE
     from repro.workloads import workload_names
 
     parser = argparse.ArgumentParser(
         prog="python -m repro.sim.precompute",
-        description="precompute-vs-inline SimStats parity check",
+        description="timing-loop vs reference-pipeline SimStats parity "
+        "check",
     )
     parser.add_argument("--scale", type=float, default=0.02)
     parser.add_argument(
@@ -1288,10 +1486,10 @@ def _parity_main(argv: Optional[Sequence[str]] = None) -> int:
     )
     parser.add_argument(
         "--require-stream", action="store_true",
-        help="fail if any table-bearing config fell back to the "
-        "inline pipeline (CI predictor-parity job: proves the "
-        "backend streams through the precompute fast path; dual-"
-        "predictor hardware configs are exempt — they never stream)",
+        help="fail if any config ran in live mode instead of on "
+        "precomputed streams (CI predictor-parity job: proves the "
+        "backend streams; hardware dual-path configs are exempt — "
+        "their routing is decided at decode)",
     )
     args = parser.parse_args(argv)
     if args.predictor is not None:
@@ -1301,11 +1499,6 @@ def _parity_main(argv: Optional[Sequence[str]] = None) -> int:
                 f"unknown predictor backend {args.predictor!r} "
                 f"(registered: {', '.join(backend_names())})"
             )
-
-    # The gate's whole point is exercising the stream path, so the
-    # short-trace threshold is disabled for every workload.
-    global _PRECOMPUTE_MIN_N
-    _PRECOMPUTE_MIN_N = 0
 
     suites = ("spec", "mediabench") if args.suite == "all" else (args.suite,)
     if args.workloads:
@@ -1345,17 +1538,17 @@ def _parity_main(argv: Optional[Sequence[str]] = None) -> int:
             tags = ["baseline"] + [
                 eg_tag(r.earlygen, r.cache_key) for r in requests
             ]
-            inline = [
-                TimingSimulator(
+            expected = [
+                reference_run(TimingSimulator(
                     run.trace, ctx.machine.with_earlygen(eg), ov
-                )._run_inline()
+                ))
                 for eg, ov in zip(configs, overrides)
             ]
-            fast = simulate_many(
+            got = simulate_many(
                 run.trace, configs, machine=ctx.machine, overrides=overrides
             )
             bad = [
-                tag for tag, a, b in zip(tags, inline, fast)
+                tag for tag, a, b in zip(tags, expected, got)
                 if asdict(a) != asdict(b)
             ]
             checked += len(configs)
@@ -1368,7 +1561,7 @@ def _parity_main(argv: Optional[Sequence[str]] = None) -> int:
     print(
         f"parity: {checked} configs checked, {mismatches} mismatches, "
         f"{divergence_count()} divergences patched, "
-        f"{divergence_fallback_count()} inline fallbacks"
+        f"{divergence_fallback_count()} live-mode fallbacks"
     )
     print("paths: " + ", ".join(
         f"{k}={v}" for k, v in sorted(paths.items())
@@ -1379,8 +1572,8 @@ def _parity_main(argv: Optional[Sequence[str]] = None) -> int:
             if k.startswith("inline:") and k != "inline:hw-dual"
         }
         if fallbacks:
-            print("require-stream: configs fell back to the inline "
-                  "pipeline: " + ", ".join(
+            print("require-stream: configs ran in live mode instead of "
+                  "on precomputed streams: " + ", ".join(
                       f"{k}={v}" for k, v in sorted(fallbacks.items())
                   ))
             return 1

@@ -2,9 +2,9 @@
 
 Every speculation backend — the paper's Fig. 3 stride table, the
 Hermes-style perceptron, the Jalili–Erez cache-level predictor — sits
-behind the same three-method surface so the timing pipeline and the
-stream-precompute fast path never special-case a backend beyond its
-name:
+behind the same three-method surface so the timing loop (live mode and
+the precomputed streams) and the reference pipeline never special-case
+a backend beyond its name:
 
 * :meth:`Predictor.probe` — ID1-stage lookup: the predicted effective
   address to dispatch speculatively, or ``None`` (table miss, learning

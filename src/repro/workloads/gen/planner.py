@@ -49,10 +49,8 @@ from repro.workloads.gen.recipes import (
     reference_output,
 )
 
-#: Default harness scale of generated workloads (reps of the main loop).
-#: Four reps of a ~1.2k-load budget clears the precompute streaming
-#: threshold (``_PRECOMPUTE_MIN_N``) so gen workloads exercise the
-#: stream sim path like the hand-written suite does.
+#: Default harness scale of generated workloads (reps of the main loop):
+#: four reps of a ~1.2k-load budget.
 GEN_DEFAULT_SCALE = 4
 
 #: Planner iteration budget (probe compiles + emulations).

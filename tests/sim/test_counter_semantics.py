@@ -4,7 +4,7 @@ The stream-precompute fast path (:mod:`repro.sim.precompute`) does not
 replay the tag arrays inside the timing loop — it reconstructs
 ``SimStats`` cache counters from precomputed totals.  That is only
 sound under the documented counter semantics of
-:mod:`repro.sim.cache` and :mod:`repro.sim.stride_table`:
+:mod:`repro.sim.cache` and :mod:`repro.sim.predictors.stride`:
 
 * ``accesses == hits + misses`` at all times, with ``probe``
   non-counting and non-allocating;
@@ -14,8 +14,9 @@ sound under the documented counter semantics of
   prediction/suppressed; ``update`` advances the state machine
   unconditionally per routed load, independent of dispatch timing.
 
-These tests pin the semantics at the unit level and then pin that both
-simulator paths report identical access/hit counters on a real trace.
+These tests pin the semantics at the unit level and then pin that the
+stream replay reports the reference pipeline's access/hit counters on a
+real trace.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from repro.isa import parse_asm
 from repro.sim import precompute
+from repro.sim._pipeline_reference import reference_run
 from repro.sim.cache import DirectMappedCache, SetAssociativeCache
 from repro.sim.executor import execute
 from repro.sim.machine import (
@@ -39,7 +41,7 @@ from repro.sim.machine import (
     SelectionMode,
 )
 from repro.sim.pipeline import TimingSimulator
-from repro.sim.stride_table import AddressPredictionTable
+from repro.sim.predictors.stride import AddressPredictionTable
 
 from golden_cases import stats_to_record
 from test_pipeline_parity import _random_asm
@@ -156,8 +158,9 @@ def test_suppressed_predictions_still_count_probes():
 
 @pytest.mark.parametrize("ways", (1, 2))
 def test_both_paths_report_identical_cache_counters(ways):
-    """Regression: precomputed and inline paths must report identical
-    ``dcache_hits``/``dcache_misses`` (and every other counter)."""
+    """Regression: the precomputed streams must report the reference
+    pipeline's ``dcache_hits``/``dcache_misses`` (and every other
+    counter)."""
     rng = random.Random(0xCAFE)
     trace = execute(parse_asm(_random_asm(rng))).trace
     machine = MachineConfig(
@@ -165,14 +168,13 @@ def test_both_paths_report_identical_cache_counters(ways):
         dcache=CacheConfig(size=1024, ways=ways),
     ).with_earlygen(EarlyGenConfig(16, 0, SelectionMode.HARDWARE))
 
-    inline = TimingSimulator(trace, machine)._run_inline()
-    fast = precompute.try_fast(TimingSimulator(trace, machine), build=True)
-    assert fast is not None, "config unexpectedly ineligible for fast path"
+    expected = reference_run(TimingSimulator(trace, machine))
+    fast = precompute.simulate_one(TimingSimulator(trace, machine))
 
-    assert fast.dcache_hits == inline.dcache_hits
-    assert fast.dcache_misses == inline.dcache_misses
-    assert fast.icache_misses == inline.icache_misses
-    assert stats_to_record(fast) == stats_to_record(inline)
+    assert fast.dcache_hits == expected.dcache_hits
+    assert fast.dcache_misses == expected.dcache_misses
+    assert fast.icache_misses == expected.icache_misses
+    assert stats_to_record(fast) == stats_to_record(expected)
 
 
 # ---------------------------------------------------------------------------
@@ -289,15 +291,14 @@ def test_backend_params_key_matches_registry(backend):
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_both_paths_identical_counters_per_backend(backend):
-    """The stream path must reproduce the inline path byte-identically
-    for every registered backend, not just stride."""
+    """The stream path must reproduce the reference pipeline
+    byte-identically for every registered backend, not just stride."""
     rng = random.Random(0xBEEF)
     trace = execute(parse_asm(_random_asm(rng))).trace
     machine = MachineConfig(mem_ports=1).with_earlygen(_eg(backend))
-    inline = TimingSimulator(trace, machine)._run_inline()
-    fast = precompute.try_fast(TimingSimulator(trace, machine), build=True)
-    assert fast is not None, "config unexpectedly ineligible for fast path"
-    assert stats_to_record(fast) == stats_to_record(inline)
+    expected = reference_run(TimingSimulator(trace, machine))
+    fast = precompute.simulate_one(TimingSimulator(trace, machine))
+    assert stats_to_record(fast) == stats_to_record(expected)
 
 
 # ---------------------------------------------------------------------------

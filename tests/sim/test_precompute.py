@@ -1,18 +1,23 @@
-"""The config-invariant precompute layer (:mod:`repro.sim.precompute`).
+"""The timing loop and its precompute (:mod:`repro.sim.precompute`).
 
 Covers what the parity suites do not:
 
 * cache bounds — the Program-attached caches (front-end outcomes, trace
   precomputes, per-config streams/routes) stay bounded no matter how
   many machines or configs a long service session replays;
-* fast-path gating — one-shot ``run()`` calls never pay a precompute
-  build, hooks/timeline/override runs stay inline, and ``simulate_many``
-  results land byte-identical to independent runs;
-* golden lock — every eligible golden case replayed through
+* outcomes, whatever the route — one-shot ``run()`` calls, warm runs,
+  hook runs, hardware dual-path configs and short traces all produce
+  the reference pipeline's stats, and a hook's payload equals the
+  returned stats;
+* live mode — every golden case replayed through the loop's live entry,
+  for every predictor backend, matches its snapshot or the reference,
+  and hardware dual-path selection looks at the decode cycle *after*
+  the fetch penalty;
+* golden lock — every golden case without a timeline replayed through
   ``simulate_many`` reproduces its recorded snapshot exactly;
 * sweep parity — long traces, random assembly, and generated workloads
   swept through ``simulate_many`` (stats memo + scalar stream replay)
-  match the inline simulator config for config;
+  match the reference pipeline config for config;
 * divergence patching — wrong-address pollution that cannot dispatch is
   resolved by stream rebuilds, not by silently wrong stats, including
   exclusion sets that flip across runs and colliding patch-memo keys.
@@ -20,6 +25,7 @@ Covers what the parity suites do not:
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import random
@@ -36,6 +42,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 from repro.compiler.driver import compile_source
 from repro.isa import parse_asm
 from repro.sim import precompute
+from repro.sim._pipeline_reference import reference_run
 from repro.sim.executor import execute
 from repro.sim.machine import (
     CacheConfig,
@@ -48,21 +55,20 @@ from repro.sim.precompute import (
     _PRECOMPUTE_LIMIT,
     _ROUTE_LIMIT,
     _STREAM_LIMIT,
+    _machine_key,
     get_precompute,
     simulate_many,
+    simulate_one,
     warm_kernel,
     warm_precompute,
 )
+from repro.sim.predictors import backend_names
 from repro.workloads import get_workload
 
 from golden_cases import GOLDEN_PATH, iter_cases, stats_to_record
 from test_pipeline_parity import _random_asm
 
-#: The module default, read at import time: the sim conftest zeroes the
-#: threshold for every test, and the defaults test restores it.
-_DEFAULT_MIN_N = precompute._PRECOMPUTE_MIN_N
-
-#: Stream-eligible configs (hardware dual-path always runs inline).
+#: Configs with static routing (hardware dual-path runs in live mode).
 _EG_POOL = (
     EarlyGenConfig(0, 0, SelectionMode.HARDWARE),
     EarlyGenConfig(16, 0, SelectionMode.HARDWARE),
@@ -86,6 +92,13 @@ def _machine_variant(n: int) -> MachineConfig:
     return MachineConfig(icache=CacheConfig(size=1024 << n))
 
 
+def _reference(trace, machine, override=None) -> dict:
+    """The reference pipeline's stats record for one config."""
+    return stats_to_record(
+        reference_run(TimingSimulator(trace, machine, override))
+    )
+
+
 # ---------------------------------------------------------------------------
 # Cache bounds
 # ---------------------------------------------------------------------------
@@ -107,9 +120,7 @@ def test_precompute_store_is_bounded(trace):
     assert uids is trace.uids
     assert len(store) <= _PRECOMPUTE_LIMIT
     # LRU: the most recent machine is still warm.
-    warm = get_precompute(trace, _machine_variant(_PRECOMPUTE_LIMIT + 2),
-                          build=False)
-    assert warm is not None
+    assert _machine_key(_machine_variant(_PRECOMPUTE_LIMIT + 2)) in store
 
 
 def test_stream_and_route_caches_are_bounded(trace):
@@ -138,59 +149,90 @@ def test_stream_and_route_caches_are_bounded(trace):
 
 def test_precompute_invalidated_when_program_recompiled(trace):
     pre = get_precompute(trace, MachineConfig())
-    assert get_precompute(trace, MachineConfig(), build=False) is pre
+    assert get_precompute(trace, MachineConfig()) is pre
     trace.program.flat = list(trace.program.flat)  # simulate re-lowering
-    assert get_precompute(trace, MachineConfig(), build=False) is None
+    assert get_precompute(trace, MachineConfig()) is not pre
 
 
 # ---------------------------------------------------------------------------
-# Fast-path gating
+# Outcomes, whatever the route
 # ---------------------------------------------------------------------------
 
-def test_one_shot_run_never_builds_a_precompute(trace):
+def test_one_shot_run_matches_reference(trace):
     machine = MachineConfig().with_earlygen(
         EarlyGenConfig(64, 0, SelectionMode.HARDWARE)
     )
-    TimingSimulator(trace, machine).run()
-    assert getattr(trace.program, "_sim_precompute", None) is None
+    expected = _reference(trace, machine)
+    assert stats_to_record(TimingSimulator(trace, machine).run()) == expected
+    # A second run on the same trace reuses the first one's precompute.
+    assert stats_to_record(TimingSimulator(trace, machine).run()) == expected
 
 
 def test_warm_run_uses_fast_path_and_matches_inline(trace):
     machine = MachineConfig().with_earlygen(
         EarlyGenConfig(64, 0, SelectionMode.HARDWARE)
     )
-    inline = stats_to_record(TimingSimulator(trace, machine)._run_inline())
+    expected = _reference(trace, machine)
     (batched,) = simulate_many(trace, [machine])
-    assert stats_to_record(batched) == inline
-    # The precompute is now warm, so a plain run() takes the fast path
-    # and must agree too.
-    assert getattr(trace.program, "_sim_precompute", None) is not None
-    assert stats_to_record(TimingSimulator(trace, machine).run()) == inline
+    assert stats_to_record(batched) == expected
+    # The precompute and the stats memo are now warm; a plain run()
+    # must agree too.
+    assert stats_to_record(TimingSimulator(trace, machine).run()) == expected
 
 
-def test_event_hook_runs_stay_inline(trace):
-    machine = MachineConfig().with_earlygen(
-        EarlyGenConfig(64, 0, SelectionMode.HARDWARE)
-    )
-    warm_precompute(trace, MachineConfig(), [machine.earlygen])
+@pytest.mark.parametrize("eg", (
+    EarlyGenConfig(64, 0, SelectionMode.HARDWARE),
+    EarlyGenConfig(64, 2, SelectionMode.COMPILER),
+    EarlyGenConfig(16, 2, SelectionMode.HARDWARE),
+), ids=("t64_hw", "t64_r2_cc", "t16_r2_hw"))
+def test_event_hook_payload_matches_stats(trace, eg):
+    machine = MachineConfig().with_earlygen(eg)
+    warm_precompute(trace, MachineConfig(), [eg])
     payloads = []
     stats = TimingSimulator(
         trace, machine, event_hook=payloads.append
     ).run()
-    assert payloads, "event hook did not fire"
-    assert payloads[-1]["cycles"] == stats.cycles
+    assert stats_to_record(stats) == _reference(trace, machine)
+    (payload,) = payloads
+    expected = precompute._event_counters(stats, payload["raddr_interlock"])
+    assert payload == expected
+    assert 0 <= payload["raddr_interlock"] <= stats.calc_spec_dispatched
 
 
-def test_hw_dual_configs_fall_back_to_inline(trace):
+def test_hw_dual_configs_match_reference(trace):
     machine = MachineConfig().with_earlygen(
         EarlyGenConfig(16, 2, SelectionMode.HARDWARE)
     )
-    assert precompute.try_fast(
-        TimingSimulator(trace, machine), build=True
-    ) is None
-    inline = stats_to_record(TimingSimulator(trace, machine)._run_inline())
+    expected = _reference(trace, machine)
     (batched,) = simulate_many(trace, [machine])
-    assert stats_to_record(batched) == inline
+    assert stats_to_record(batched) == expected
+    assert stats_to_record(TimingSimulator(trace, machine).run()) == expected
+
+
+def test_short_trace_matches_reference():
+    """A trace of a handful of records streams like any other: every
+    config, dual-path included, matches the reference pipeline."""
+    trace = execute(parse_asm("\n".join([
+        ".data arr 64",
+        "main:",
+        "    lea r4, arr",
+        "    st r4, r4(0)",
+        "    ld_p r5, r4(0)",
+        "    ld_e r6, r4(4)",
+        "    add r5, r5, r6",
+        "    halt",
+    ]))).trace
+    assert len(trace.uids) < 10
+    machines = _sweep_machines(
+        [EarlyGenConfig(0, 0)] + list(_EG_POOL)
+        + [EarlyGenConfig(16, 2, SelectionMode.HARDWARE)]
+    )
+    expected = _reference_records(trace, machines)
+    stats = simulate_many(trace, machines)
+    assert [stats_to_record(s) for s in stats] == expected
+    assert [
+        stats_to_record(TimingSimulator(trace, m).run()) for m in machines
+    ] == expected
 
 
 def test_simulate_many_accepts_earlygen_and_machine_items(trace):
@@ -218,23 +260,16 @@ def test_divergence_patching_converges_without_fallback():
             mem_ports=1, dcache=CacheConfig(size=1024)
         ).with_earlygen(EarlyGenConfig(16, 0, SelectionMode.HARDWARE))
         before = precompute.divergence_count()
-        inline = stats_to_record(
-            TimingSimulator(trace, machine)._run_inline()
-        )
-        fast = precompute.try_fast(
-            TimingSimulator(trace, machine), build=True
-        )
-        assert fast is not None
-        assert stats_to_record(fast) == inline
+        expected = _reference(trace, machine)
+        fast = simulate_one(TimingSimulator(trace, machine))
+        assert stats_to_record(fast) == expected
         if precompute.divergence_count() > before:
             diverged = True
-            # Convergence is remembered: a second fast run must not
+            # Convergence is remembered: a second run must not
             # rediscover the exclusions.
             again = precompute.divergence_count()
-            rerun = precompute.try_fast(
-                TimingSimulator(trace, machine), build=True
-            )
-            assert stats_to_record(rerun) == inline
+            rerun = simulate_one(TimingSimulator(trace, machine))
+            assert stats_to_record(rerun) == expected
             assert precompute.divergence_count() == again
     assert diverged, "seeds no longer produce divergence; rotate them"
     assert precompute.divergence_fallback_count() == fallbacks_before
@@ -250,7 +285,7 @@ def test_simulate_many_reproduces_golden_stats_exactly():
     groups: dict = {}
     for case_id, trace, machine, overrides, collect_timeline in iter_cases():
         if collect_timeline:
-            continue  # timeline collection is inline-only by design
+            continue  # simulate_many never collects timelines
         entry = groups.setdefault(id(trace), (trace, []))
         entry[1].append((case_id, machine, overrides))
     checked = 0
@@ -299,11 +334,8 @@ def _sweep_machines(eg_list):
     return [MachineConfig().with_earlygen(eg) for eg in eg_list]
 
 
-def _inline_records(trace, machines):
-    return [
-        stats_to_record(TimingSimulator(trace, m)._run_inline())
-        for m in machines
-    ]
+def _reference_records(trace, machines):
+    return [_reference(trace, m) for m in machines]
 
 
 def _path_delta(before: dict, after: dict, path: str) -> int:
@@ -311,6 +343,8 @@ def _path_delta(before: dict, after: dict, path: str) -> int:
 
 
 def test_long_trace_sweep_matches_inline():
+    """A long strided trace streams every config of its sweep and
+    matches the reference pipeline."""
     trace = execute(parse_asm(_loop_asm(700))).trace
     assert len(trace.uids) > 4096
     machines = _sweep_machines([
@@ -326,7 +360,7 @@ def test_long_trace_sweep_matches_inline():
     streamed = (_path_delta(before, after, "scalar")
                 + _path_delta(before, after, "memo"))
     assert streamed == len(machines), after
-    assert [stats_to_record(s) for s in stats] == _inline_records(
+    assert [stats_to_record(s) for s in stats] == _reference_records(
         trace, machines
     )
 
@@ -343,7 +377,7 @@ def test_random_asm_sweep_matches_inline():
             EarlyGenConfig(0, 2, SelectionMode.COMPILER),
         ])
         stats = simulate_many(trace, machines)
-        assert [stats_to_record(s) for s in stats] == _inline_records(
+        assert [stats_to_record(s) for s in stats] == _reference_records(
             trace, machines
         )
 
@@ -360,7 +394,7 @@ def _fresh_trace(name: str, scale: float = 0.05):
 @given(data=st.data())
 def test_gen_sweep_matches_inline(data):
     """Random sweeps over generated workloads: every config's stats
-    from the shared-precompute batch equal the inline simulator's."""
+    from the shared-precompute batch equal the reference pipeline's."""
     alias = data.draw(st.sampled_from(
         ("strided", "pointer", "irregular", "mixed")), label="fingerprint")
     seed = data.draw(st.integers(min_value=0, max_value=31), label="seed")
@@ -369,17 +403,15 @@ def test_gen_sweep_matches_inline(data):
     trace = _fresh_trace(f"gen:{alias}:{seed}")
     machines = _sweep_machines([_EG_POOL[i] for i in order[:width]])
     stats = simulate_many(trace, machines)
-    assert [stats_to_record(s) for s in stats] == _inline_records(
+    assert [stats_to_record(s) for s in stats] == _reference_records(
         trace, machines
     )
 
 
-def test_adpcm_decode_sweep_streams_at_defaults(monkeypatch):
-    """adpcm_decode at bench scale 0.05 clears the default short-trace
-    threshold, so its sweep streams — and stays exact."""
-    monkeypatch.setattr(precompute, "_PRECOMPUTE_MIN_N", _DEFAULT_MIN_N)
+def test_adpcm_decode_sweep_streams_at_defaults():
+    """adpcm_decode at bench scale 0.05: no config of its static-route
+    sweep runs in live mode, and every one stays exact."""
     trace = _fresh_trace("adpcm_decode")
-    assert len(trace.uids) >= _DEFAULT_MIN_N
     machines = _sweep_machines([_EG_POOL[i] for i in (0, 1, 2, 4, 5, 6)])
     before = precompute.replay_path_counts()
     stats = simulate_many(trace, machines)
@@ -388,7 +420,7 @@ def test_adpcm_decode_sweep_streams_at_defaults(monkeypatch):
         _path_delta(before, after, path)
         for path in after if path.startswith("inline:")
     ), after
-    assert [stats_to_record(s) for s in stats] == _inline_records(
+    assert [stats_to_record(s) for s in stats] == _reference_records(
         _fresh_trace("adpcm_decode"), machines
     )
 
@@ -414,7 +446,6 @@ def test_fresh_interpreter_sweep_imports_no_numpy():
     script = r"""
 import json, random, sys
 from repro.isa import parse_asm
-from repro.sim import precompute
 from repro.sim.executor import execute
 from repro.sim.machine import EarlyGenConfig, MachineConfig, SelectionMode
 from repro.sim.precompute import simulate_many
@@ -422,7 +453,6 @@ sys.path.insert(0, {testdir!r})
 from test_pipeline_parity import _random_asm
 from golden_cases import stats_to_record
 
-precompute._PRECOMPUTE_MIN_N = 0
 trace = execute(parse_asm(_random_asm(random.Random(0x9A11)))).trace
 machines = [MachineConfig().with_earlygen(eg) for eg in (
     EarlyGenConfig(16, 0, SelectionMode.HARDWARE),
@@ -465,30 +495,6 @@ def test_warm_kernel_shim_returns_zero(trace):
 
 
 # ---------------------------------------------------------------------------
-# Short-trace threshold
-# ---------------------------------------------------------------------------
-
-def test_short_trace_threshold_skips_precompute(trace, monkeypatch):
-    """Below ``_PRECOMPUTE_MIN_N`` the stream path declines up front
-    (the adpcm_encode regression fix) and the inline loop still
-    produces the stats."""
-    monkeypatch.setattr(precompute, "_PRECOMPUTE_MIN_N", 10**9)
-    machine = MachineConfig().with_earlygen(
-        EarlyGenConfig(16, 0, SelectionMode.HARDWARE)
-    )
-    assert warm_precompute(trace, machine, [machine.earlygen]) is None
-    assert precompute.try_fast(
-        TimingSimulator(trace, machine), build=True
-    ) is None
-    before = precompute.replay_path_counts()
-    (batched,) = simulate_many(trace, [machine])
-    after = precompute.replay_path_counts()
-    assert _path_delta(before, after, "inline:short-trace") > 0
-    inline = stats_to_record(TimingSimulator(trace, machine)._run_inline())
-    assert stats_to_record(batched) == inline
-
-
-# ---------------------------------------------------------------------------
 # Divergence-patching edge cases
 # ---------------------------------------------------------------------------
 
@@ -506,10 +512,7 @@ def _first_diverging(rng, eg):
         trace = execute(parse_asm(asm)).trace
         machine = _starved_machine(eg)
         before = precompute.divergence_count()
-        fast = precompute.try_fast(
-            TimingSimulator(trace, machine), build=True
-        )
-        assert fast is not None
+        simulate_one(TimingSimulator(trace, machine))
         if precompute.divergence_count() > before:
             return asm, trace, machine
     raise AssertionError("seeds no longer produce divergence; rotate them")
@@ -521,7 +524,7 @@ def test_exclusion_set_flips_twice_across_runs():
     from any remembered starting point)."""
     eg = EarlyGenConfig(16, 0, SelectionMode.HARDWARE)
     _, trace, machine = _first_diverging(random.Random(0xF11B), eg)
-    inline = stats_to_record(TimingSimulator(trace, machine)._run_inline())
+    expected = _reference(trace, machine)
 
     pre = precompute.get_precompute(trace, machine)
     sb = precompute._scheme_bytes(trace.program, eg, None)
@@ -532,8 +535,8 @@ def test_exclusion_set_flips_twice_across_runs():
     # Flip 1: forget everything (seed the complement-of-knowledge).
     pre.remember_exclusions(eg, route, frozenset())
     pre._stats_memo.clear()
-    rerun = precompute.try_fast(TimingSimulator(trace, machine), build=True)
-    assert stats_to_record(rerun) == inline
+    rerun = simulate_one(TimingSimulator(trace, machine))
+    assert stats_to_record(rerun) == expected
     assert pre.known_exclusions(eg, route) == converged
 
     # Flip 2: seed garbage ordinals on top of the converged set.  Inert
@@ -543,8 +546,8 @@ def test_exclusion_set_flips_twice_across_runs():
     garbage = frozenset(range(min(8, pre.n_loads))) | converged
     pre.remember_exclusions(eg, route, garbage)
     pre._stats_memo.clear()
-    rerun = precompute.try_fast(TimingSimulator(trace, machine), build=True)
-    assert stats_to_record(rerun) == inline
+    rerun = simulate_one(TimingSimulator(trace, machine))
+    assert stats_to_record(rerun) == expected
     assert pre.known_exclusions(eg, route) >= converged
 
 
@@ -555,16 +558,15 @@ def test_patch_memo_collision_still_exact():
     eg = EarlyGenConfig(16, 0, SelectionMode.HARDWARE)
     trace = execute(parse_asm(_random_asm(random.Random(0xC0111)))).trace
     machine = _starved_machine(eg)
-    inline = stats_to_record(TimingSimulator(trace, machine)._run_inline())
+    expected = _reference(trace, machine)
 
     pre = precompute.get_precompute(trace, machine)
     sb = precompute._scheme_bytes(trace.program, eg, None)
     route = pre.route_for(sb)
     # Simulate another config's convergence landing under our key.
     pre.remember_exclusions(eg, route, frozenset(range(pre.n_loads)))
-    fast = precompute.try_fast(TimingSimulator(trace, machine), build=True)
-    assert fast is not None
-    assert stats_to_record(fast) == inline
+    fast = simulate_one(TimingSimulator(trace, machine))
+    assert stats_to_record(fast) == expected
     # A second EarlyGenConfig sharing the patch key replays exactly too.
     eg2 = EarlyGenConfig(16, 2, SelectionMode.COMPILER)
     key = pre._patch_key(eg, route)
@@ -572,25 +574,94 @@ def test_patch_memo_collision_still_exact():
     sb2 = precompute._scheme_bytes(trace.program, eg2, None)
     route2 = pre.route_for(sb2)
     if pre._patch_key(eg2, route2) == key:
-        inline2 = stats_to_record(
-            TimingSimulator(trace, machine2)._run_inline()
-        )
-        fast2 = precompute.try_fast(
-            TimingSimulator(trace, machine2), build=True
-        )
-        assert stats_to_record(fast2) == inline2
+        fast2 = simulate_one(TimingSimulator(trace, machine2))
+        assert stats_to_record(fast2) == _reference(trace, machine2)
 
 
 def test_forced_divergence_fallback_is_byte_identical(monkeypatch):
     """With no patch retries, a diverging config cannot converge on the
-    streams: it must fall back to the inline loop, be counted as a
-    fallback, and still produce byte-identical stats."""
+    streams: it must fall back to live mode, be counted as a fallback,
+    and still produce the reference pipeline's stats."""
     eg = EarlyGenConfig(16, 0, SelectionMode.HARDWARE)
     asm, _, machine = _first_diverging(random.Random(0xD1CE), eg)
     monkeypatch.setattr(precompute, "_MAX_PATCH_RETRIES", 0)
     trace = execute(parse_asm(asm)).trace  # fresh precompute and memos
-    inline = stats_to_record(TimingSimulator(trace, machine)._run_inline())
+    expected = _reference(trace, machine)
     before = precompute.divergence_fallback_count()
     (stats,) = simulate_many(trace, [machine])
     assert precompute.divergence_fallback_count() == before + 1
-    assert stats_to_record(stats) == inline
+    assert stats_to_record(stats) == expected
+
+
+# ---------------------------------------------------------------------------
+# Live mode
+# ---------------------------------------------------------------------------
+
+def _live_stats(sim: TimingSimulator):
+    """*sim* replayed through the loop's live entry: a fresh predictor,
+    ``R_addr``/BRIC and d-cache driven at each load, no streams."""
+    pre = get_precompute(sim.trace, sim.config)
+    sb = precompute._scheme_bytes(
+        sim.trace.program, sim.config.earlygen, sim.spec_override
+    )
+    route = None if sb is None else pre.route_for(sb)
+    observer = (precompute._Observer(sim, pre)
+                if sim.collect_timeline else None)
+    stats, _, diverged = precompute._replay(
+        pre, sim.config, route, None, observer
+    )
+    assert diverged == []
+    if observer is not None:
+        stats.timeline = observer.timeline
+    return stats
+
+
+def _with_backend(machine: MachineConfig, backend: str) -> MachineConfig:
+    """*machine* predicting with *backend* (confidence counters are a
+    stride-table option, so other backends run without them)."""
+    eg = machine.earlygen
+    if not eg.table_entries or backend == eg.predictor:
+        return machine
+    return machine.with_earlygen(dataclasses.replace(
+        eg, predictor=backend, table_confidence_bits=0,
+    ))
+
+
+@pytest.mark.parametrize("backend", backend_names())
+def test_live_mode_reproduces_golden_cases(backend):
+    """Every golden case through live mode: the stride backend must
+    reproduce the recorded snapshot, every other backend the reference
+    pipeline."""
+    with GOLDEN_PATH.open(encoding="utf-8") as fh:
+        golden = json.load(fh)["cases"]
+    checked = 0
+    for case_id, trace, machine, overrides, timeline in iter_cases():
+        machine = _with_backend(machine, backend)
+        sim = TimingSimulator(trace, machine, spec_override=overrides,
+                              collect_timeline=timeline)
+        got = stats_to_record(_live_stats(sim))
+        if machine.earlygen.predictor == "stride":
+            expected = golden[case_id]
+        else:
+            expected = stats_to_record(reference_run(TimingSimulator(
+                trace, machine, spec_override=overrides,
+                collect_timeline=timeline,
+            )))
+        assert got == expected, case_id
+        checked += 1
+    assert checked == len(golden)
+
+
+@pytest.mark.parametrize("name", ("023.eqntott", "adpcm_encode"))
+def test_hw_dual_selection_sees_the_fetch_penalty(name):
+    """Eickemeyer-Vassiliadis selection tests the base register against
+    the decode cycle *after* the i-cache fetch penalty.  Deciding before
+    the penalty misroutes loads that sit right after an i-cache miss on
+    both of these traces."""
+    trace = _fresh_trace(name, scale=0.1)
+    machine = MachineConfig().with_earlygen(
+        EarlyGenConfig(16, 2, SelectionMode.HARDWARE)
+    )
+    expected = _reference(trace, machine)
+    assert stats_to_record(_live_stats(TimingSimulator(trace, machine))) \
+        == expected
