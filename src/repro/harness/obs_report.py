@@ -30,8 +30,8 @@ merges the files and prints:
 * **replay path coverage** — the ``sim.replay`` events grouped by
   chosen path (stats memo, scalar stream replay, or
   ``inline:<reason>`` for a run in live mode, not on precomputed
-  streams), with divergence patches, so a sweep's stream coverage is
-  visible at a glance.
+  streams), with run counts, so a sweep's stream coverage is visible
+  at a glance.
 
 ``--validate`` instead checks the manifest and every trace record
 against the schema and exits non-zero on any problem; CI runs this
@@ -97,7 +97,6 @@ SIM_HEADERS = {
 REPLAY_HEADERS = {
     "path": "Path",
     "runs": "Runs",
-    "patches": "Patches",
 }
 
 
@@ -302,10 +301,9 @@ def replay_paths(records: List[dict]) -> List[dict]:
 
     Runs in live mode, not on precomputed streams, report
     ``inline:<reason>`` (``hw-dual`` or ``divergence-fallback``) so the
-    rows show *why* the streams were skipped; stream rows accumulate the
-    divergence patches their replays needed.
+    rows show *why* the streams were skipped.
     """
-    rows: Dict[str, Dict[str, int]] = {}
+    rows: Dict[str, int] = {}
     for rec in records:
         if rec.get("kind") != "event" or rec.get("name") != "sim.replay":
             continue
@@ -314,14 +312,8 @@ def replay_paths(records: List[dict]) -> List[dict]:
         reason = tags.get("reason")
         if reason and path == "inline":
             path = f"inline:{reason}"
-        row = rows.setdefault(path, {"runs": 0, "patches": 0})
-        row["runs"] += 1
-        patches = tags.get("patches")
-        if isinstance(patches, int):
-            row["patches"] += patches
-    return [
-        dict(rows[path], path=path) for path in sorted(rows)
-    ]
+        rows[path] = rows.get(path, 0) + 1
+    return [{"path": path, "runs": rows[path]} for path in sorted(rows)]
 
 
 def validate(trace_dir) -> List[str]:

@@ -88,7 +88,7 @@ def _decode_program(program: Program):
     ``(kind, iblock, src_slots, dest_slot, base_slot, reg_offset,
     disp_slot, alu_latency, addr)``.  Everything here is immutable
     across timing runs — load-scheme specifiers (``lspec``) are
-    deliberately excluded because profile feedback rewrites them in
+    deliberately left out because profile feedback rewrites them in
     place on laid-out programs; :meth:`TimingSimulator.run` resolves
     them per run.  The cache is keyed on the identity of
     ``program.flat``, which ``Program.layout`` replaces wholesale.

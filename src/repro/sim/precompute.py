@@ -19,7 +19,7 @@ order:
   on *which* loads are routed there (the routing mask), never on
   ports, latencies, or the calc path.  Backends that train on demand
   d-cache outcomes additionally see the demand-hit stream, which is
-  itself a pure function of the routing mask and the exclusion set.
+  itself a pure function of the routing mask.
 * **Early-calc cache outcomes** — ``R_addr`` bindings and BRIC probes
   likewise evolve only with the sequence of calc-routed loads.
 
@@ -35,22 +35,19 @@ implementation in :mod:`repro.sim._pipeline_reference` is its oracle.
 Two effects cannot be precomputed:
 
 * **Wrong-address pollution** is gated on a port being free one cycle
-  early.  The streams are built assuming every wrong-address access
-  dispatches; the replay records every load ordinal where that
-  assumption disagreed with the ports it actually saw, and the caller
-  rebuilds the stream with those ordinals excluded and replays again.
-  A replay that records *no* disagreement is exact — its stream's fill
-  assumptions matched the observed dispatch behavior at every
-  wrong-prediction point — so only a zero-divergence replay is ever
-  accepted.
+  early.  The streams assume every wrong-address access dispatches and
+  fills the cache.  A stream replay that reaches a wrong-address
+  prediction with no free port stops there: every later cache outcome
+  in its streams may be wrong.
 * **Hardware dual-path selection** routes each load at decode using the
   current interlock state (timing-dependent).
 
 Both are served by the loop's *live mode*: the same replay over the same
 records, driving a fresh predictor, ``R_addr``/BRIC and d-cache through
 their public methods at each load instead of reading streams.  Live mode
-runs the hardware dual-path configs and any config whose patching does
-not converge within :data:`_MAX_PATCH_RETRIES` rebuilds.
+is exact for any config; it runs the hardware dual-path configs and
+every config whose stream replay stopped at such a divergence
+(exact-or-live).
 
 :func:`simulate_one` (behind ``TimingSimulator.run``) and
 :func:`simulate_many` build the precompute on first use and share it
@@ -120,29 +117,9 @@ _PMASK_TAB = bytes(1 if b == 1 else 0 for b in range(256))
 _EMASK_TAB = bytes(1 if b == 2 else 0 for b in range(256))
 
 
-#: Bound on stream-patching rebuilds before a diverging config reruns
-#: in live mode.  Divergent ordinals are discovered in batches (one
-#: replay records every disagreement it sees), so convergence normally
-#: takes one or two rebuilds.
-_MAX_PATCH_RETRIES = 6
-
 #: Identical stream tuples produce identical stats (the replay is a
 #: pure function of them), so sweeps memoize per-tuple results.
 _STATS_MEMO_LIMIT = 64
-
-#: Process-wide divergence counters (exposed for tests and the parity
-#: CLI): patched = resolved by a stream rebuild, fallbacks = rerun in
-#: live mode.
-_divergences = 0
-_divergence_fallbacks = 0
-
-
-def divergence_count() -> int:
-    return _divergences
-
-
-def divergence_fallback_count() -> int:
-    return _divergence_fallbacks
 
 
 def _machine_key(cfg: MachineConfig) -> tuple:
@@ -173,7 +150,7 @@ class TracePrecompute:
     Per-config streams are derived lazily and cached with an LRU bound:
 
     * ``dstream`` — demand-hit / prediction-outcome codes per dynamic
-      load, keyed ``(predictor_key, p-mask, exclusions)``, plus the
+      load, keyed ``(predictor_key, p-mask)``, plus the
       demand/store/pollution miss totals,
     * ``estream`` — calc-path dispatch-candidate codes, keyed
       ``(cached_regs, use_raddr, e-mask)``.
@@ -194,8 +171,7 @@ class TracePrecompute:
         "mseq_kind", "lpc", "lea", "lbase", "lro", "ldisp",
         "dyn_load_uids", "sword", "static_load_uids",
         "per_entry_bound", "total_cycle_bound",
-        "_routes", "_dstreams", "_estreams", "_patches",
-        "_stats_memo",
+        "_routes", "_dstreams", "_estreams", "_stats_memo",
     )
 
     def __init__(self, program, trace: Trace, cfg: MachineConfig):
@@ -310,7 +286,6 @@ class TracePrecompute:
         self._routes: OrderedDict = OrderedDict()
         self._dstreams: OrderedDict = OrderedDict()
         self._estreams: OrderedDict = OrderedDict()
-        self._patches: OrderedDict = OrderedDict()
         self._stats_memo: OrderedDict = OrderedDict()
 
     # -- derived per-config streams --------------------------------------
@@ -331,66 +306,36 @@ class TracePrecompute:
         routes[scheme_bytes] = route
         return route
 
-    def _patch_key(self, eg: EarlyGenConfig, route: bytes):
-        if not eg.table_entries or 1 not in route:
-            return None
-        return (
-            _predictor_key(eg),
-            route.translate(_PMASK_TAB),
-        )
-
-    def known_exclusions(self, eg: EarlyGenConfig,
-                         route: bytes) -> frozenset:
-        """The exclusion set a prior replay of this config converged to."""
-        return self._patches.get(self._patch_key(eg, route), frozenset())
-
-    def remember_exclusions(self, eg: EarlyGenConfig, route: bytes,
-                            excluded: frozenset) -> None:
-        key = self._patch_key(eg, route)
-        if key is None:
-            return
-        patches = self._patches
-        while len(patches) >= _STREAM_LIMIT:
-            patches.popitem(last=False)
-        patches[key] = excluded
-
-    def dstream(self, eg: EarlyGenConfig, route: bytes,
-                excluded: frozenset = frozenset()) -> tuple:
+    def dstream(self, eg: EarlyGenConfig, route: bytes) -> tuple:
         """Demand/prediction outcome stream for *eg* under *route*.
 
         Returns ``(codes, demand_misses, store_misses, pollution_misses)``
         where ``codes[li]`` has bit 0 = demand access hit, bit 1 = a
         functioning prediction was made, bit 2 = the prediction matched
-        the computed address, bit 3 = the stream filled the cache with
-        this wrong-address access (assumed dispatched).  ``excluded``
-        lists load ordinals whose wrong-address pollution is known (from
-        a prior replay attempt) not to have dispatched; they lack bit 3.
+        the computed address.  Every wrong-address prediction (bit 1
+        without bit 2) is assumed to dispatch and fill the cache under
+        the predicted address; :func:`_replay` stops where it did not.
         """
         if not eg.table_entries or 1 not in route:
             key = None
         else:
-            key = (
-                _predictor_key(eg),
-                route.translate(_PMASK_TAB),
-                excluded,
-            )
+            key = (_predictor_key(eg), route.translate(_PMASK_TAB))
         streams = self._dstreams
         hit = streams.get(key)
         if hit is not None:
             streams.move_to_end(key)
             return hit
         if key is None:
-            built = self._build_dstream(None, None, excluded)
+            built = self._build_dstream(None, None)
         else:
-            built = self._build_dstream(eg, key[1], excluded)
+            built = self._build_dstream(eg, key[1])
         while len(streams) >= _STREAM_LIMIT:
             streams.popitem(last=False)
         streams[key] = built
         return built
 
     def _build_dstream(self, eg: Optional[EarlyGenConfig],
-                       pmask: Optional[bytes],
-                       excluded: frozenset) -> tuple:
+                       pmask: Optional[bytes]) -> tuple:
         dc = DirectMappedCache(self.dcache_cfg)
         direct = type(dc) is DirectMappedCache
         if direct:
@@ -452,16 +397,12 @@ class TracePrecompute:
                     if predicted is not None:
                         if predicted == ea:
                             code = 6
-                        elif li in excluded:
-                            code = 2
                         else:
                             # Assumed-dispatched wrong-address access:
                             # counts and fills under the predicted
-                            # address (the replay records the ordinal
-                            # as diverged if the dispatch did not
-                            # actually happen, and it lands in
-                            # `excluded` on the rebuild).
-                            code = 10
+                            # address (the replay stops if the dispatch
+                            # did not actually happen).
+                            code = 2
                             if direct:
                                 cblk = predicted >> bs
                                 cidx = cblk & im
@@ -768,12 +709,12 @@ def simulate_one(sim: TimingSimulator) -> SimStats:
 
     Static routes replay the precomputed streams: through the stats memo
     when an identical stream tuple was already replayed, through
-    :func:`_replay` otherwise, patching wrong-address divergences by
-    stream rebuilds.  Hardware dual-path configs, and configs whose
-    patching does not converge, run the same loop in live mode.  A
-    timeline, or a watchdog tighter than the trace can reach, attaches
-    the per-record observer to a final replay; the event hook and tracer
-    counters run after the loop.
+    :func:`_replay` otherwise.  Hardware dual-path configs, and configs
+    whose stream replay stopped at a wrong-address prediction that found
+    no port, run the same loop in live mode.  A timeline, or a watchdog
+    tighter than the trace can reach, attaches the per-record observer
+    to a final replay; the event hook and tracer counters run after the
+    loop.
     """
     cfg = sim.config
     eg = cfg.earlygen
@@ -795,9 +736,9 @@ def simulate_one(sim: TimingSimulator) -> SimStats:
         elif observer is None:
             stats, ra_interlock, _ = streamed
         else:
-            # The converged streams are exact, so the observed replay
+            # A completed stream replay is exact, so the observed replay
             # sees exactly the run the unobserved one accounted.
-            stats, ra_interlock, _ = _replay(
+            stats, ra_interlock = _replay(
                 pre, cfg, route, streamed[2], observer
             )
     if observer is not None:
@@ -807,64 +748,46 @@ def simulate_one(sim: TimingSimulator) -> SimStats:
 
 
 def _run_streams(pre: TracePrecompute, cfg: MachineConfig, route: bytes):
-    """Replay *route* on precomputed streams until no divergence.
+    """Replay *route* on its precomputed streams.
 
-    Returns ``(stats, ra_interlock, streams)`` from the first replay
-    that recorded no divergence, or None when
-    :data:`_MAX_PATCH_RETRIES` rebuilds did not converge.
+    Returns ``(stats, ra_interlock, streams)``, or None when the replay
+    stopped at a wrong-address prediction that found no port.
     """
-    global _divergences, _divergence_fallbacks
     eg = cfg.earlygen
-    ecodes = pre.estream(eg, route)
-    excluded = pre.known_exclusions(eg, route)
+    dcodes, dmiss, store_miss, poll_miss = pre.dstream(eg, route)
+    streams = (dcodes, (dmiss, store_miss, poll_miss),
+               pre.estream(eg, route))
+    # The replay is a pure function of the stream tuple (the machine
+    # shape is fixed per precompute), so an identical tuple
+    # short-circuits to the memoized result.  Only completed replays are
+    # memoized.
     memo = pre._stats_memo
-    patched = 0
-    for _ in range(_MAX_PATCH_RETRIES + 1):
-        dcodes, dmiss, store_miss, poll_miss = pre.dstream(
-            eg, route, excluded
+    memo_key = (route,) + streams
+    result = memo.get(memo_key)
+    if result is not None:
+        memo.move_to_end(memo_key)
+        path = "memo"
+    else:
+        result = _replay(pre, cfg, route, streams)
+        if result is None:
+            return None
+        while len(memo) >= _STATS_MEMO_LIMIT:
+            memo.popitem(last=False)
+        memo[memo_key] = result
+        path = "scalar"
+    _count_path(path)
+    tracer = obs.current()
+    if tracer.enabled:
+        tracer.event(
+            "sim.replay",
+            path=path,
+            table=eg.table_entries,
+            regs=eg.cached_regs,
+            selection=eg.selection.value,
+            predictor=eg.predictor,
         )
-        streams = (dcodes, (dmiss, store_miss, poll_miss), ecodes)
-        # The replay is a pure function of the stream tuple (the machine
-        # shape is fixed per precompute, and dcodes carries the
-        # exclusions), so an identical tuple short-circuits to the
-        # memoized result.  Only zero-divergence results are memoized.
-        memo_key = (route,) + streams
-        hit = memo.get(memo_key)
-        if hit is not None:
-            memo.move_to_end(memo_key)
-            stats, ra_interlock = hit
-            path = "memo"
-            diverged = ()
-        else:
-            stats, ra_interlock, diverged = _replay(pre, cfg, route, streams)
-            path = "scalar"
-        if not diverged:
-            pre.remember_exclusions(eg, route, excluded)
-            if hit is None:
-                while len(memo) >= _STATS_MEMO_LIMIT:
-                    memo.popitem(last=False)
-                memo[memo_key] = (stats, ra_interlock)
-            _count_path(path)
-            tracer = obs.current()
-            if tracer.enabled:
-                tracer.event(
-                    "sim.replay",
-                    path=path,
-                    patches=patched,
-                    table=eg.table_entries,
-                    regs=eg.cached_regs,
-                    selection=eg.selection.value,
-                    predictor=eg.predictor,
-                )
-            return _copy_stats(stats), ra_interlock, streams
-        # The stream's fill assumptions disagreed with the ports the
-        # replay actually saw: flip every recorded ordinal and rebuild.
-        # Stats from this attempt are discarded.
-        _divergences += len(diverged)
-        patched += len(diverged)
-        excluded = excluded.symmetric_difference(diverged)
-    _divergence_fallbacks += 1
-    return None
+    stats, ra_interlock = result
+    return _copy_stats(stats), ra_interlock, streams
 
 
 def _run_live(pre: TracePrecompute, cfg: MachineConfig,
@@ -877,8 +800,7 @@ def _run_live(pre: TracePrecompute, cfg: MachineConfig,
     if tracer.enabled:
         tracer.event("sim.replay", path="inline", reason=reason,
                      predictor=eg.predictor)
-    stats, ra_interlock, _ = _replay(pre, cfg, route, None, observer)
-    return stats, ra_interlock
+    return _replay(pre, cfg, route, None, observer)
 
 
 def _event_counters(stats: SimStats, ra_interlock: int) -> dict:
@@ -946,18 +868,21 @@ def _replay(pre: TracePrecompute, cfg: MachineConfig,
 
     With ``streams = (dcodes, dtotals, ecodes)`` each load's cache,
     predictor and calc-path outcomes come from the precomputed streams
-    under the static per-load *route*; every wrong-address access whose
-    dispatch disagreed with its stream's fill assumption lands in the
-    returned ``diverged`` list.  With ``streams=None`` the loop runs in
-    live mode: each load drives a fresh predictor, ``R_addr``/BRIC and
-    d-cache through their public methods, producing the same codes, and
-    ``route=None`` picks each load's path at decode (hardware dual-path
-    selection).  Live mode never diverges.
+    under the static per-load *route*.  The streams assume every
+    wrong-address prediction dispatched and filled the cache, so the
+    replay returns None at once when one finds no free port.  With
+    ``streams=None`` the loop runs in live mode: each load drives a
+    fresh predictor, ``R_addr``/BRIC and d-cache through their public
+    methods, producing the same codes and filling the cache only when
+    the wrong-address access dispatches, and ``route=None`` picks each
+    load's path at decode (hardware dual-path selection).  Live mode
+    always completes.
 
     *observer*, when set, is called at every record boundary: before
     each record and after the last (see :class:`_Observer`).
 
-    Returns ``(stats, ra_interlock, diverged)``.
+    Returns ``(stats, ra_interlock)``, or None for a stopped stream
+    replay.
     """
     records = pre.records
     lea = pre.lea
@@ -1014,7 +939,6 @@ def _replay(pre: TracePrecompute, cfg: MachineConfig,
     si = 0
     r = 0
     success = False
-    diverged: list = []
     pred_disp = pred_succ = pred_wrong = 0
     calc_disp = calc_succ = calc_part = 0
     sp_noport = sp_interlock = sp_dmiss = 0
@@ -1092,13 +1016,13 @@ def _replay(pre: TracePrecompute, cfg: MachineConfig,
                     if predicted is not None:
                         if predicted == ea:
                             code = 6
-                        elif pp < n_ports:
-                            # The wrong-address access dispatches and
-                            # fetches its block (the "extra load").
-                            dc_access(predicted)
-                            code = 10
                         else:
                             code = 2
+                            if pp < n_ports:
+                                # The wrong-address access dispatches
+                                # and fetches its block (the "extra
+                                # load").
+                                dc_access(predicted)
                 elif r == 2:
                     base = lbase[li]
                     if raddr is not None:
@@ -1162,17 +1086,12 @@ def _replay(pre: TracePrecompute, cfg: MachineConfig,
                             else:
                                 sp_dmiss += 1
                         else:
-                            if not code & 8:
-                                # The stream assumed this wrong-address
-                                # access would NOT fill the cache, yet
-                                # it found a free port and dispatched.
-                                diverged.append(li)
                             pred_wrong += 1
                     else:
-                        if code & 8:
+                        if not live and not code & 4:
                             # The stream assumed this wrong-address
                             # access filled the cache; it had no port.
-                            diverged.append(li)
+                            return None
                         sp_noport += 1
                 if success:
                     if iss >= width:
@@ -1324,7 +1243,7 @@ def _replay(pre: TracePrecompute, cfg: MachineConfig,
         calc_disp, calc_succ, calc_part,
         sp_noport, sp_interlock, sp_dmiss,
     )
-    return stats, ra_interlock, diverged
+    return stats, ra_interlock
 
 
 def _assemble_stats(pre: TracePrecompute, route: bytes, dtotals: tuple,
@@ -1446,8 +1365,7 @@ def _parity_main(argv: Optional[Sequence[str]] = None) -> int:
 
     CI runs this at a small scale as a standing parity gate; exit status
     1 means at least one config produced non-identical
-    :class:`SimStats` (or, with ``--require-stream``, ran in live mode
-    for any reason other than hardware dual-path selection).
+    :class:`SimStats`.
     """
     import argparse
     import dataclasses
@@ -1483,13 +1401,6 @@ def _parity_main(argv: Optional[Sequence[str]] = None) -> int:
         "--predictor", default=None, metavar="NAME",
         help="run every table-bearing config with this prediction "
         "backend instead of the default stride table",
-    )
-    parser.add_argument(
-        "--require-stream", action="store_true",
-        help="fail if any config ran in live mode instead of on "
-        "precomputed streams (CI predictor-parity job: proves the "
-        "backend streams; hardware dual-path configs are exempt — "
-        "their routing is decided at decode)",
     )
     args = parser.parse_args(argv)
     if args.predictor is not None:
@@ -1560,23 +1471,12 @@ def _parity_main(argv: Optional[Sequence[str]] = None) -> int:
     paths = replay_path_counts()
     print(
         f"parity: {checked} configs checked, {mismatches} mismatches, "
-        f"{divergence_count()} divergences patched, "
-        f"{divergence_fallback_count()} live-mode fallbacks"
+        f"{paths.get('inline:divergence-fallback', 0)} divergence "
+        f"fallbacks to live mode"
     )
     print("paths: " + ", ".join(
         f"{k}={v}" for k, v in sorted(paths.items())
     ))
-    if args.require_stream:
-        fallbacks = {
-            k: v for k, v in paths.items()
-            if k.startswith("inline:") and k != "inline:hw-dual"
-        }
-        if fallbacks:
-            print("require-stream: configs ran in live mode instead of "
-                  "on precomputed streams: " + ", ".join(
-                      f"{k}={v}" for k, v in sorted(fallbacks.items())
-                  ))
-            return 1
     return 1 if mismatches else 0
 
 

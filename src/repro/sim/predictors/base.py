@@ -29,8 +29,7 @@ and relied on by :mod:`repro.sim.precompute`):
 The registry doubles as the *outcome-stream factory* for the precompute
 layer: :func:`create` builds a fresh backend from an
 ``EarlyGenConfig``-shaped object, and :func:`predictor_key` produces the
-canonical hashable key that outcome streams and patch memos are cached
-under.
+canonical hashable key that outcome streams are cached under.
 """
 
 from __future__ import annotations
@@ -192,9 +191,8 @@ def create(eg) -> Optional[Predictor]:
 def predictor_key(eg) -> tuple:
     """Canonical cache key of *eg*'s prediction configuration.
 
-    Outcome streams and divergence-patch memos are keyed by this tuple;
-    two configs with equal keys drive byte-identical backend state
-    machines.
+    Outcome streams are keyed by this tuple; two configs with equal keys
+    drive byte-identical backend state machines.
     """
     if not eg.table_entries:
         return ("none",)

@@ -25,8 +25,9 @@ load could have used.  This backend therefore:
 Because training consumes the demand-hit stream, the backend's state
 depends on the d-cache contents — which the precompute layer already
 models per config, including pollution from wrong-address speculative
-fills; the divergence-patching loop (``excluded`` sets) makes the
-assumed-dispatch stream exact before any timing replay is accepted.
+fills.  Its streams assume every wrong-address access dispatched; a
+replay where one found no port reruns in live mode, so only exact
+streams are ever accepted.
 
 Parameters (``EarlyGenConfig.predictor_params``): ``counter_bits``
 (level-counter width, default 2, range [1, 4]).

@@ -61,17 +61,20 @@ def test_parents_resolve_within_one_process():
 
 def test_replay_paths_group_by_path():
     events = [
-        {"kind": "event", "name": "sim.replay",
-         "tags": {"path": "scalar", "patches": 2}},
-        {"kind": "event", "name": "sim.replay",
-         "tags": {"path": "memo", "patches": 0}},
+        {"kind": "event", "name": "sim.replay", "tags": {"path": "scalar"}},
+        {"kind": "event", "name": "sim.replay", "tags": {"path": "scalar"}},
+        {"kind": "event", "name": "sim.replay", "tags": {"path": "memo"}},
         {"kind": "event", "name": "sim.replay",
          "tags": {"path": "inline", "reason": "hw-dual"}},
+        {"kind": "event", "name": "sim.replay",
+         "tags": {"path": "inline", "reason": "divergence-fallback"}},
     ]
-    rows = {r["path"]: r for r in replay_paths(events)}
-    assert rows["scalar"] == {"path": "scalar", "runs": 1, "patches": 2}
-    assert rows["inline:hw-dual"]["runs"] == 1
-    assert set(rows["memo"]) == {"path", "runs", "patches"}
+    assert replay_paths(events) == [
+        {"path": "inline:divergence-fallback", "runs": 1},
+        {"path": "inline:hw-dual", "runs": 1},
+        {"path": "memo", "runs": 1},
+        {"path": "scalar", "runs": 2},
+    ]
 
 
 def _pass_span(span_id, name, dur, parent, **counters):

@@ -18,14 +18,16 @@ Covers what the parity suites do not:
 * sweep parity — long traces, random assembly, and generated workloads
   swept through ``simulate_many`` (stats memo + scalar stream replay)
   match the reference pipeline config for config;
-* divergence patching — wrong-address pollution that cannot dispatch is
-  resolved by stream rebuilds, not by silently wrong stats, including
-  exclusion sets that flip across runs and colliding patch-memo keys.
+* divergence fallback — a config whose stream replay meets a
+  wrong-address prediction with no free port reruns in live mode and
+  still equals the reference, for every backend and entry point, and a
+  sweep mixing such configs with clean ones is exact in either order.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import os
 import random
@@ -242,37 +244,6 @@ def test_simulate_many_accepts_earlygen_and_machine_items(trace):
         trace, [eg, base.with_earlygen(eg)], machine=base
     )
     assert stats_to_record(mixed[0]) == stats_to_record(mixed[1])
-
-
-# ---------------------------------------------------------------------------
-# Divergence patching
-# ---------------------------------------------------------------------------
-
-def test_divergence_patching_converges_without_fallback():
-    """Port-starved machines (mem_ports=1) produce wrong-address
-    pollution that cannot dispatch; patching must resolve it exactly."""
-    rng = random.Random(0xD1CE)
-    fallbacks_before = precompute.divergence_fallback_count()
-    diverged = False
-    for _ in range(8):
-        trace = execute(parse_asm(_random_asm(rng))).trace
-        machine = MachineConfig(
-            mem_ports=1, dcache=CacheConfig(size=1024)
-        ).with_earlygen(EarlyGenConfig(16, 0, SelectionMode.HARDWARE))
-        before = precompute.divergence_count()
-        expected = _reference(trace, machine)
-        fast = simulate_one(TimingSimulator(trace, machine))
-        assert stats_to_record(fast) == expected
-        if precompute.divergence_count() > before:
-            diverged = True
-            # Convergence is remembered: a second run must not
-            # rediscover the exclusions.
-            again = precompute.divergence_count()
-            rerun = simulate_one(TimingSimulator(trace, machine))
-            assert stats_to_record(rerun) == expected
-            assert precompute.divergence_count() == again
-    assert diverged, "seeds no longer produce divergence; rotate them"
-    assert precompute.divergence_fallback_count() == fallbacks_before
 
 
 # ---------------------------------------------------------------------------
@@ -495,102 +466,124 @@ def test_warm_kernel_shim_returns_zero(trace):
 
 
 # ---------------------------------------------------------------------------
-# Divergence-patching edge cases
+# Divergence fallback
 # ---------------------------------------------------------------------------
 
+_FALLBACK = "inline:divergence-fallback"
+
+
 def _starved_machine(eg):
+    """A port-starved machine: wrong-address predictions often find no
+    free port one cycle early, so the stream replay cannot finish."""
     return MachineConfig(
         mem_ports=1, dcache=CacheConfig(size=1024)
     ).with_earlygen(eg)
 
 
-def _first_diverging(rng, eg):
-    """The assembly text of a program whose replay on a port-starved
-    machine needs exclusion patching, and that (trace, machine)."""
-    for _ in range(12):
-        asm = _random_asm(rng)
-        trace = execute(parse_asm(asm)).trace
-        machine = _starved_machine(eg)
-        before = precompute.divergence_count()
-        simulate_one(TimingSimulator(trace, machine))
-        if precompute.divergence_count() > before:
-            return asm, trace, machine
-    raise AssertionError("seeds no longer produce divergence; rotate them")
+def _asm_trace(asm: str):
+    return execute(parse_asm(asm)).trace
 
 
-def test_exclusion_set_flips_twice_across_runs():
-    """An ordinal excluded -> seeded un-excluded -> re-excluded must
-    land on identical stats every time (the patch loop re-converges
-    from any remembered starting point)."""
+def _diverges(trace, machine) -> bool:
+    """True when *machine*'s run on *trace* reran in live mode after its
+    stream replay met a wrong-address prediction with no free port."""
+    before = precompute.replay_path_counts()
+    simulate_one(TimingSimulator(trace, machine))
+    return _path_delta(before, precompute.replay_path_counts(), _FALLBACK) > 0
+
+
+def _diverging_asm(seed: int, eg) -> list:
+    """Random-assembly programs from *seed* that diverge under *eg* on
+    the port-starved machine."""
+    rng = random.Random(seed)
+    found = [
+        asm for asm in (_random_asm(rng) for _ in range(8))
+        if _diverges(_asm_trace(asm), _starved_machine(eg))
+    ]
+    assert found, "seeds no longer produce divergence; rotate them"
+    return found
+
+
+def _diverging_cases(eg) -> list:
+    """``(make_trace, machine)`` pairs that diverge under *eg*.  The
+    port-starved random assembly diverges often, but its wrong-address
+    accesses only re-touch cached blocks; on 085.cc1 the pollution
+    changes the miss counts, so a replay that ran on past the
+    divergence would show."""
+    cases = [
+        (functools.partial(_asm_trace, asm), _starved_machine(eg))
+        for asm in _diverging_asm(0xD1CE, eg)
+    ]
+    cc1 = functools.partial(_fresh_trace, "085.cc1", 0.02)
+    machine = MachineConfig().with_earlygen(eg)
+    assert _diverges(cc1(), machine), "085.cc1 no longer diverges"
+    return cases + [(cc1, machine)]
+
+
+@pytest.mark.parametrize("backend", backend_names())
+def test_divergence_fallback_matches_reference(backend):
+    """Every diverging config equals the reference pipeline: through
+    ``simulate_one`` and ``simulate_many``, on a fresh trace and on
+    repeat runs, and with a timeline (the observer on a live rerun)."""
+    eg = dataclasses.replace(
+        EarlyGenConfig(16, 0, SelectionMode.HARDWARE), predictor=backend
+    )
+    for make_trace, machine in _diverging_cases(eg):
+        trace = make_trace()
+        expected = _reference(trace, machine)
+        (batched,) = simulate_many(trace, [machine])
+        assert stats_to_record(batched) == expected
+        for _ in range(2):
+            one = simulate_one(TimingSimulator(trace, machine))
+            assert stats_to_record(one) == expected
+            (again,) = simulate_many(trace, [machine])
+            assert stats_to_record(again) == expected
+        sim = TimingSimulator(trace, machine, collect_timeline=True)
+        observed = stats_to_record(simulate_one(sim))
+        assert observed["timeline"]
+        assert observed == stats_to_record(reference_run(
+            TimingSimulator(trace, machine, collect_timeline=True)
+        ))
+
+
+@pytest.mark.parametrize("source", (0xF11B, 0xC0111, "085.cc1"),
+                         ids=("asm-f11b", "asm-c0111", "085.cc1"))
+def test_sweep_mixing_diverging_and_clean_configs(source):
+    """One sweep on one trace mixes configs that fall back after a
+    divergence with configs that stream to the end, including repeats
+    that can hit the stats memo.  In either order, on a fresh trace,
+    every config equals its own reference run."""
     eg = EarlyGenConfig(16, 0, SelectionMode.HARDWARE)
-    _, trace, machine = _first_diverging(random.Random(0xF11B), eg)
-    expected = _reference(trace, machine)
-
-    pre = precompute.get_precompute(trace, machine)
-    sb = precompute._scheme_bytes(trace.program, eg, None)
-    route = pre.route_for(sb)
-    converged = pre.known_exclusions(eg, route)
-    assert converged, "divergence should have recorded exclusions"
-
-    # Flip 1: forget everything (seed the complement-of-knowledge).
-    pre.remember_exclusions(eg, route, frozenset())
-    pre._stats_memo.clear()
-    rerun = simulate_one(TimingSimulator(trace, machine))
-    assert stats_to_record(rerun) == expected
-    assert pre.known_exclusions(eg, route) == converged
-
-    # Flip 2: seed garbage ordinals on top of the converged set.  Inert
-    # ordinals (not wrong-address loads) cannot affect any stream, so
-    # they may persist — the contract is exact stats and the genuine
-    # exclusions kept.
-    garbage = frozenset(range(min(8, pre.n_loads))) | converged
-    pre.remember_exclusions(eg, route, garbage)
-    pre._stats_memo.clear()
-    rerun = simulate_one(TimingSimulator(trace, machine))
-    assert stats_to_record(rerun) == expected
-    assert pre.known_exclusions(eg, route) >= converged
-
-
-def test_patch_memo_collision_still_exact():
-    """A colliding patch-memo entry (same ``(table, conf, route)`` key
-    written by a different config's convergence) only seeds the first
-    attempt; the replay must re-converge to exact stats."""
-    eg = EarlyGenConfig(16, 0, SelectionMode.HARDWARE)
-    trace = execute(parse_asm(_random_asm(random.Random(0xC0111)))).trace
-    machine = _starved_machine(eg)
-    expected = _reference(trace, machine)
-
-    pre = precompute.get_precompute(trace, machine)
-    sb = precompute._scheme_bytes(trace.program, eg, None)
-    route = pre.route_for(sb)
-    # Simulate another config's convergence landing under our key.
-    pre.remember_exclusions(eg, route, frozenset(range(pre.n_loads)))
-    fast = simulate_one(TimingSimulator(trace, machine))
-    assert stats_to_record(fast) == expected
-    # A second EarlyGenConfig sharing the patch key replays exactly too.
-    eg2 = EarlyGenConfig(16, 2, SelectionMode.COMPILER)
-    key = pre._patch_key(eg, route)
-    machine2 = _starved_machine(eg2)
-    sb2 = precompute._scheme_bytes(trace.program, eg2, None)
-    route2 = pre.route_for(sb2)
-    if pre._patch_key(eg2, route2) == key:
-        fast2 = simulate_one(TimingSimulator(trace, machine2))
-        assert stats_to_record(fast2) == _reference(trace, machine2)
-
-
-def test_forced_divergence_fallback_is_byte_identical(monkeypatch):
-    """With no patch retries, a diverging config cannot converge on the
-    streams: it must fall back to live mode, be counted as a fallback,
-    and still produce the reference pipeline's stats."""
-    eg = EarlyGenConfig(16, 0, SelectionMode.HARDWARE)
-    asm, _, machine = _first_diverging(random.Random(0xD1CE), eg)
-    monkeypatch.setattr(precompute, "_MAX_PATCH_RETRIES", 0)
-    trace = execute(parse_asm(asm)).trace  # fresh precompute and memos
-    expected = _reference(trace, machine)
-    before = precompute.divergence_fallback_count()
-    (stats,) = simulate_many(trace, [machine])
-    assert precompute.divergence_fallback_count() == before + 1
-    assert stats_to_record(stats) == expected
+    if isinstance(source, int):
+        make_trace = functools.partial(
+            _asm_trace, _diverging_asm(source, eg)[0])
+        machine = _starved_machine
+    else:
+        make_trace = functools.partial(_fresh_trace, source, 0.02)
+        machine = MachineConfig().with_earlygen
+    egs = [
+        eg,
+        EarlyGenConfig(0, 0, SelectionMode.HARDWARE),
+        EarlyGenConfig(16, 2, SelectionMode.COMPILER),
+        EarlyGenConfig(0, 2, SelectionMode.COMPILER),
+        dataclasses.replace(eg, predictor="cache-level"),
+        EarlyGenConfig(64, 2, SelectionMode.COMPILER),
+        eg,
+        EarlyGenConfig(0, 0, SelectionMode.HARDWARE),
+    ]
+    machines = [machine(e) for e in egs]
+    expected = _reference_records(make_trace(), machines)
+    for order in (list(range(len(egs))), list(reversed(range(len(egs))))):
+        trace = make_trace()  # fresh precompute and stats memo
+        before = precompute.replay_path_counts()
+        stats = simulate_many(trace, [machines[i] for i in order])
+        after = precompute.replay_path_counts()
+        assert _path_delta(before, after, _FALLBACK) >= 2, after
+        assert (_path_delta(before, after, "scalar")
+                + _path_delta(before, after, "memo")) >= 2, after
+        assert [stats_to_record(s) for s in stats] == [
+            expected[i] for i in order
+        ]
 
 
 # ---------------------------------------------------------------------------
@@ -607,10 +600,7 @@ def _live_stats(sim: TimingSimulator):
     route = None if sb is None else pre.route_for(sb)
     observer = (precompute._Observer(sim, pre)
                 if sim.collect_timeline else None)
-    stats, _, diverged = precompute._replay(
-        pre, sim.config, route, None, observer
-    )
-    assert diverged == []
+    stats, _ = precompute._replay(pre, sim.config, route, None, observer)
     if observer is not None:
         stats.timeline = observer.timeline
     return stats

@@ -1,12 +1,14 @@
 """Property test: ``simulate_many`` equals independent simulator runs.
 
 For random programs, machine shapes, table sizes, selection modes
-(including hardware dual-path run-time selection, which is inline-only)
-and random ``spec_override`` maps, a batched ``simulate_many`` sweep
-must produce :class:`~repro.sim.stats.SimStats` bit-identical to
-running each config through its own ``TimingSimulator`` — the batched
-path shares one precompute across the sweep, so this pins that sharing
-(and the divergence patching behind it) never leaks between configs.
+(including hardware dual-path run-time selection, which always runs in
+live mode) and random ``spec_override`` maps, a batched
+``simulate_many`` sweep must produce :class:`~repro.sim.stats.SimStats`
+bit-identical to running each config through its own
+``TimingSimulator`` — the batched path shares one precompute and stats
+memo across the sweep, so this pins that neither that sharing nor a
+config's live-mode rerun after a stream divergence (exact-or-live)
+leaks between configs.
 
 Runs under the deterministic ``repro`` hypothesis profile (see
 ``tests/conftest.py``).
